@@ -11,14 +11,25 @@ splits into contiguous numeric ranges. Chunk boundaries and per-chunk RNG
 seeds depend only on the request, never on the worker count, and results
 merge associatively: reports are identical no matter how the work was
 partitioned.
+
+Every scan classifies its sets in batches with one word-level kernel,
+``_word_counts``: a set inside [0, 32) is one ``uint64`` word, and so are
+its sum and difference words. Only wider sets (sampling with n > 32, or
+a cardinality scan past diameter 31) take the per-set big-integer loop
+``_mask_counts``. Pooled scans share one process pool, started on first
+use, replaced when the worker count changes or a scan fails, and kept
+until the interpreter exits.
 """
 
 from __future__ import annotations
 
+import atexit
 import math
+import os
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, combinations, islice
 from multiprocessing import Pool
 from typing import Iterable, Optional, Sequence
 
@@ -31,6 +42,10 @@ _ENUM_CHUNK = 1 << 14
 _SAMPLE_CHUNK = 1 << 12
 _WITNESS_CAP = 8
 _ORACLE_CARD_CAP = 10_000
+# sets per kernel call: keeps the kernel's four working words in cache
+_BATCH = 1 << 12
+# widest set the kernel takes: its sum and difference words then need 63 bits
+_WORD_WIDTH = 32
 
 
 def oracle_profile(a: IntegerSet | Iterable[int]) -> SetProfile:
@@ -57,8 +72,9 @@ def oracle_profile(a: IntegerSet | Iterable[int]) -> SetProfile:
 def _mask_counts(bits: int, span: int) -> tuple[int, int]:
     """(|A+A|, |A-A|) for the set encoded by ``bits`` (bit i = element i).
 
-    ``span`` is the highest set bit. Works by OR-ing shifted copies, one
-    per element; tiny sets only, the run-smearing engine handles the rest.
+    ``span`` is the highest set bit. Works by OR-ing shifted Python
+    integers, one per element. Scans use it only for sets too wide for
+    ``_word_counts``; tests use it as the referee for that kernel.
     """
     s = 0
     d = 0
@@ -70,6 +86,54 @@ def _mask_counts(bits: int, span: int) -> tuple[int, int]:
         d |= bits << (span - a)
         rest ^= low
     return s.bit_count(), d.bit_count()
+
+
+def _word_counts(bits: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sum and difference words of a batch of sets inside [0, width).
+
+    Bit i of ``bits[k]`` stands for element i of set k. In the results,
+    bit i of the sum word stands for the sum i, and bit i of the
+    difference word for the difference i - (width - 1). Their popcounts
+    are |A+A| and |A-A|. With width <= 32 every word fits in 63 bits.
+    """
+    if not 1 <= width <= _WORD_WIDTH:
+        raise InvalidParameterError(f"_word_counts: width must be in [1, {_WORD_WIDTH}]")
+    sums = np.zeros_like(bits)
+    diffs = np.zeros_like(bits)
+    member = np.empty_like(bits)
+    shifted = np.empty_like(bits)
+    one = np.uint64(1)
+    for a in range(width):
+        # all ones where a is an element, else zero
+        np.right_shift(bits, np.uint64(a), out=member)
+        np.bitwise_and(member, one, out=member)
+        np.negative(member, out=member)
+        np.left_shift(bits, np.uint64(a), out=shifted)
+        np.bitwise_and(shifted, member, out=shifted)
+        np.bitwise_or(sums, shifted, out=sums)
+        np.left_shift(bits, np.uint64(width - 1 - a), out=shifted)
+        np.bitwise_and(shifted, member, out=shifted)
+        np.bitwise_or(diffs, shifted, out=diffs)
+    return sums, diffs
+
+
+def _classify(bits: np.ndarray | Sequence[int], width: int) -> np.ndarray:
+    """Sign of |A+A| - |A-A| for each set of a batch inside [0, width).
+
+    Batches up to width 32 are ``uint64`` arrays and go through the word
+    kernel; wider ones are Python integers and go through ``_mask_counts``.
+    """
+    if width <= _WORD_WIDTH:
+        sums, diffs = _word_counts(bits, width)
+        return np.sign(np.bitwise_count(sums).astype(np.int8)
+                       - np.bitwise_count(diffs).astype(np.int8))
+    return np.array([(s > f) - (s < f) for s, f in
+                     (_mask_counts(b, width - 1) for b in bits)], dtype=np.int8)
+
+
+def _elements(bits: int, offset: int = 0) -> tuple[int, ...]:
+    """The set encoded by ``bits``, each element shifted by ``offset``."""
+    return tuple(i + offset for i in range(bits.bit_length()) if (bits >> i) & 1)
 
 
 @dataclass(frozen=True)
@@ -114,11 +178,47 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     return (max(0.0, center - half), min(1.0, center + half))
 
 
+# (owning process id, worker count, pool). The owner is recorded so that a
+# forked child never submits work to a pool it inherited.
+_pool: Optional[tuple[int, int, Pool]] = None
+
+
+def _worker_count(workers: int, tasks: int) -> int:
+    """Processes worth running: at most one per CPU and one per task."""
+    if workers < 1:
+        raise InvalidParameterError("workers must be >= 1")
+    return min(workers, os.cpu_count() or 1, tasks)
+
+
+def _close_pool() -> None:
+    global _pool
+    if _pool is not None and _pool[0] == os.getpid():
+        _pool[2].terminate()
+    _pool = None
+
+
+atexit.register(_close_pool)
+
+
+def _shared_pool(workers: int) -> Pool:
+    """The process's pool of ``workers`` processes, replaced if the count changes."""
+    global _pool
+    if _pool is None or _pool[:2] != (os.getpid(), workers):
+        _close_pool()
+        _pool = (os.getpid(), workers, Pool(processes=workers))
+    return _pool[2]
+
+
 def _run_tasks(worker, tasks: Sequence, workers: int) -> list:
-    if workers <= 1 or len(tasks) <= 1:
+    workers = _worker_count(workers, len(tasks))
+    if workers <= 1:
         return [worker(t) for t in tasks]
-    with Pool(processes=workers) as pool:
-        return pool.map(worker, tasks, chunksize=1)
+    try:
+        return _shared_pool(workers).map(worker, tasks, chunksize=1)
+    except BaseException:
+        # a failed or interrupted map can leave workers busy or dead
+        _close_pool()
+        raise
 
 
 def _merge_witnesses(parts: Iterable[Sequence[tuple]], cap: int) -> list[tuple]:
@@ -146,20 +246,25 @@ def _keep_best(witnesses: list[tuple], item: tuple, cap: int) -> None:
 def _enum_chunk(task: tuple[int, int, int]) -> tuple[int, int, int, int, list[tuple]]:
     """Classify interior masks [lo, hi) at diameter d."""
     d, lo, hi = task
-    mstd = mdts = bal = 0
+    counts = np.zeros(3, dtype=np.int64)  # MDTS, balanced, MSTD
     witnesses: list[tuple] = []
-    endpoints = 1 | (1 << d) if d >= 1 else 1
-    for mask in range(lo, hi):
-        bits = (mask << 1) | endpoints
-        s, f = _mask_counts(bits, d)
-        if s > f:
-            mstd += 1
-            elements = tuple(i for i in range(d + 1) if (bits >> i) & 1)
-            _keep_best(witnesses, (d, len(elements), elements), _WITNESS_CAP)
-        elif s < f:
-            mdts += 1
-        else:
-            bal += 1
+    endpoints = np.uint64(1 | (1 << d) if d >= 1 else 1)
+    for start in range(lo, hi, _BATCH):
+        bits = np.arange(start, min(start + _BATCH, hi), dtype=np.uint64)
+        np.left_shift(bits, np.uint64(1), out=bits)
+        np.bitwise_or(bits, endpoints, out=bits)
+        signs = _classify(bits, d + 1)
+        counts += np.bincount(signs + 1, minlength=3)
+        hits = bits[signs > 0]
+        if hits.size:
+            # witnesses order by cardinality first: only the smallest can enter
+            cards = np.bitwise_count(hits)
+            k = min(_WITNESS_CAP, hits.size) - 1
+            cut = np.partition(cards, k)[k]
+            for b in hits[cards <= cut].tolist():
+                elements = _elements(b)
+                _keep_best(witnesses, (d, len(elements), elements), _WITNESS_CAP)
+    mdts, bal, mstd = (int(c) for c in counts)
     return hi - lo, mstd, mdts, bal, witnesses
 
 
@@ -201,28 +306,28 @@ def exhaustive_by_diameter(d_max: int, workers: int = 1,
 
 def _card_chunk(task: tuple[int, int]) -> tuple[int, int, int, int, list[tuple]]:
     """Classify all sets {0, d} + (j interior elements)."""
-    from itertools import combinations
-
     d, j = task
-    mstd = mdts = bal = 0
+    counts = np.zeros(3, dtype=np.int64)  # MDTS, balanced, MSTD
     witnesses: list[tuple] = []
     endpoints = 1 | (1 << d) if d >= 1 else 1
-    examined = 0
-    for combo in combinations(range(1, d), j):
-        bits = endpoints
-        for c in combo:
-            bits |= 1 << c
-        examined += 1
-        s, f = _mask_counts(bits, d)
-        if s > f:
-            mstd += 1
-            elements = (0, *combo, d) if d >= 1 else (0,)
-            _keep_best(witnesses, (len(elements), d, elements), _WITNESS_CAP)
-        elif s < f:
-            mdts += 1
+    combos = combinations(range(1, d), j)
+    while batch := list(islice(combos, _BATCH)):
+        if d < _WORD_WIDTH:
+            interior = np.fromiter(chain.from_iterable(batch), dtype=np.uint64,
+                                   count=len(batch) * j).reshape(len(batch), j)
+            np.left_shift(np.uint64(1), interior, out=interior)
+            bits = np.bitwise_or.reduce(interior, axis=1, initial=np.uint64(endpoints))
         else:
-            bal += 1
-    return examined, mstd, mdts, bal, witnesses
+            bits = [endpoints | sum(1 << c for c in combo) for combo in batch]
+        signs = _classify(bits, d + 1)
+        counts += np.bincount(signs + 1, minlength=3)
+        # combinations come in lexicographic order and every set here has
+        # the same size and diameter, so the first hits are the smallest
+        for i in np.flatnonzero(signs > 0)[:_WITNESS_CAP - len(witnesses)].tolist():
+            elements = (0, *batch[i], d) if d >= 1 else (0,)
+            witnesses.append((len(elements), d, elements))
+    mdts, bal, mstd = (int(c) for c in counts)
+    return mdts + bal + mstd, mstd, mdts, bal, witnesses
 
 
 def min_cardinality_scan(d_max: int, card_max: int, workers: int = 1,
@@ -252,6 +357,8 @@ def min_cardinality_scan(d_max: int, card_max: int, workers: int = 1,
             continue
         for j in range(0, min(card_max - 2, d - 1) + 1):
             tasks.append((d, j))
+    # largest first, so that no big task is left for one worker at the end
+    tasks.sort(key=lambda t: math.comb(max(t[0] - 1, 0), t[1]), reverse=True)
     parts = _run_tasks(_card_chunk, tasks, workers)
     total = sum(p[0] for p in parts)
     witnesses = _merge_witnesses((p[4] for p in parts), witness_cap)
@@ -274,29 +381,23 @@ def _sample_chunk(task: tuple[int, int, int, int]) -> tuple[int, int, int, int, 
     """Classify one fixed-size block of random subsets of [1, n].
 
     The RNG is seeded from (seed, chunk index) alone, so the stream for a
-    chunk never depends on which worker runs it.
+    chunk never depends on which worker runs it. An empty draw has no
+    sums and no differences, so it counts as balanced.
     """
     seed, chunk_index, count, n = task
     rng = np.random.default_rng([seed, chunk_index])
     rows = rng.integers(0, 2, size=(count, n), dtype=np.uint8)
     packed = np.packbits(rows, axis=1, bitorder="little")
-    mstd = mdts = bal = 0
-    witnesses: list[tuple] = []
-    for row_index in range(count):
-        bits = int.from_bytes(packed[row_index].tobytes(), "little")
-        if bits == 0:
-            bal += 1  # empty draw: zero sums, zero differences
-            continue
-        s, f = _mask_counts(bits, bits.bit_length() - 1)
-        if s > f:
-            mstd += 1
-            if len(witnesses) < _WITNESS_CAP:
-                elements = tuple(i + 1 for i in range(n) if (bits >> i) & 1)
-                witnesses.append((chunk_index, row_index, elements))
-        elif s < f:
-            mdts += 1
-        else:
-            bal += 1
+    if n <= _WORD_WIDTH:
+        words = np.zeros((count, 8), dtype=np.uint8)
+        words[:, :packed.shape[1]] = packed
+        bits = words.view("<u8").ravel()
+    else:
+        bits = [int.from_bytes(row.tobytes(), "little") for row in packed]
+    signs = _classify(bits, n)  # count <= _SAMPLE_CHUNK == _BATCH
+    mdts, bal, mstd = (int(c) for c in np.bincount(signs + 1, minlength=3))
+    witnesses = [(chunk_index, row_index, _elements(int(bits[row_index]), 1))
+                 for row_index in np.flatnonzero(signs > 0)[:_WITNESS_CAP].tolist()]
     return count, mstd, mdts, bal, witnesses
 
 
@@ -359,37 +460,27 @@ def find_fill2_seeds(n: int) -> list[tuple[IntegerSet, IntegerSet]]:
         return []  # 1 and 2n = 2 forced in, n = 1 forced out: contradiction
     # bit i stands for the value i + 1
     free = [v for v in range(2, 2 * n) if v != n]
-    forced = 1 | (1 << (2 * n - 1))
+    forced = np.uint64(1 | (1 << (2 * n - 1)))
     span = 2 * n - 1
     sum_lo, sum_hi = (n + 2) - 2, 3 * n - 2          # values n+2 .. 3n
     diff_lo, diff_hi = span - (n - 1), span + (n - 1)  # values -(n-1) .. n-1
-    sum_mask = ((1 << (sum_hi - sum_lo + 1)) - 1) << sum_lo
-    diff_mask = ((1 << (diff_hi - diff_lo + 1)) - 1) << diff_lo
+    sum_mask = np.uint64(((1 << (sum_hi - sum_lo + 1)) - 1) << sum_lo)
+    diff_mask = np.uint64(((1 << (diff_hi - diff_lo + 1)) - 1) << diff_lo)
     found: list[tuple[IntegerSet, IntegerSet]] = []
-    for mask in range(1 << len(free)):
-        bits = forced
-        m = mask
-        while m:
-            low = m & -m
-            bits |= 1 << (free[low.bit_length() - 1] - 1)
-            m ^= low
-        s = 0
-        d = 0
-        rest = bits
-        while rest:
-            low = rest & -rest
-            a = low.bit_length() - 1
-            s |= bits << a
-            d |= bits << (span - a)
-            rest ^= low
-        if s.bit_count() <= d.bit_count():
-            continue
-        if (s & sum_mask) != sum_mask or (d & diff_mask) != diff_mask:
-            continue
-        elements = [i + 1 for i in range(2 * n) if (bits >> i) & 1]
-        found.append((
-            IntegerSet(e for e in elements if e <= n),
-            IntegerSet(e for e in elements if e > n),
-        ))
+    total = 1 << len(free)
+    for start in range(0, total, _BATCH):
+        masks = np.arange(start, min(start + _BATCH, total), dtype=np.uint64)
+        bits = np.full_like(masks, forced)
+        for k, v in enumerate(free):
+            bits |= ((masks >> np.uint64(k)) & np.uint64(1)) << np.uint64(v - 1)
+        s, d = _word_counts(bits, 2 * n)
+        keep = ((np.bitwise_count(s) > np.bitwise_count(d))
+                & ((s & sum_mask) == sum_mask) & ((d & diff_mask) == diff_mask))
+        for b in bits[keep].tolist():
+            elements = _elements(b, 1)
+            found.append((
+                IntegerSet(e for e in elements if e <= n),
+                IntegerSet(e for e in elements if e > n),
+            ))
     found.sort(key=lambda pair: (pair[0].to_list(), pair[1].to_list()))
     return found

@@ -166,7 +166,7 @@ def test_criterion_7_nonfill_identities_to_50():
         assert failures == []
 
 
-_SCALING_D = 20
+_SCALING_D = 24
 
 
 def _run_full_enumeration() -> None:

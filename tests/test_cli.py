@@ -177,6 +177,14 @@ def test_search_sample_deterministic(capsys):
     assert first == second
 
 
+def test_search_rejects_worker_count_below_one(capsys):
+    for command in (["diameter", "--d-max", "3"], ["cardinality", "--d-max", "3"],
+                    ["sample", "--n", "5", "--samples", "10", "--seed", "1"]):
+        code, out, err = run(capsys, "search", *command, "--workers", "0")
+        assert (code, out) == (2, "")
+        assert "workers" in err
+
+
 def test_search_seeds(capsys):
     code, out, _ = run(capsys, "search", "seeds", "--n", "10")
     assert code == 0

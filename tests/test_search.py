@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from mstd_chains import (Classification, IntegerSet, InvalidParameterError,
                          ResourceLimitError, exhaustive_by_diameter,
                          fill2_chain, find_fill2_seeds, min_cardinality_scan,
                          oracle_profile, profile, sample_mstd_proportion,
-                         wilson_interval)
+                         search, wilson_interval)
+from mstd_chains.search import (_BATCH, _card_chunk, _enum_chunk, _mask_counts,
+                                _sample_chunk, _word_counts, _worker_count)
 
 from .conftest import CONWAY, FILL2_L, FILL2_R
 
@@ -200,6 +203,176 @@ def test_seed_discovery_roundtrip():
         assert len(record.steps) == 4
 
 
+def test_seed_discovery_hull_conditions_hold():
+    from .conftest import naive_diffs, naive_sums
+
+    n = 11
+    seeds = find_fill2_seeds(n)
+    # frozen from the per-set big-integer scan this kernel replaced
+    assert len(seeds) == 68
+    for L, R in seeds:
+        elements = L.to_list() + R.to_list()
+        assert elements[0] == 1 and elements[-1] == 2 * n and n not in elements
+        sums, diffs = naive_sums(elements), naive_diffs(elements)
+        assert len(sums) > len(diffs)
+        assert set(range(n + 2, 3 * n + 1)) <= sums
+        assert set(range(-(n - 1), n)) <= diffs
+
+
 def test_seed_discovery_cap():
     with pytest.raises(ResourceLimitError):
         find_fill2_seeds(13)
+
+
+# ---------------------------------------------------------------------------
+# the word-level kernel and its big-integer referee
+# ---------------------------------------------------------------------------
+
+def _referee_sign(bits: int) -> int:
+    s, f = _mask_counts(bits, max(bits.bit_length() - 1, 0))
+    return (s > f) - (s < f)
+
+
+def test_word_kernel_matches_oracle_on_every_small_set():
+    for d in range(13):
+        bits = np.arange(1, 1 << (d + 1), dtype=np.uint64)
+        sums, diffs = _word_counts(bits, d + 1)
+        for b, s, f in zip(bits.tolist(), np.bitwise_count(sums).tolist(),
+                           np.bitwise_count(diffs).tolist()):
+            p = oracle_profile(i for i in range(d + 1) if (b >> i) & 1)
+            assert (s, f) == (p.sum_count, p.diff_count), (d, b)
+
+
+def test_word_kernel_full_width_does_not_overflow():
+    rng = np.random.default_rng(31)
+    bits = rng.integers(0, 1 << 31, size=2000, dtype=np.uint64) | np.uint64(1 << 31)
+    sums, diffs = _word_counts(bits, 32)
+    for b, s, f in zip(bits.tolist(), np.bitwise_count(sums).tolist(),
+                       np.bitwise_count(diffs).tolist()):
+        assert (s, f) == _mask_counts(b, 31)
+    with pytest.raises(InvalidParameterError):
+        _word_counts(bits, 33)
+
+
+def test_sampling_at_full_width_matches_referee_row_by_row():
+    for chunk_index in range(3):
+        seed, count, n = 5, 4096, 32
+        rows = np.random.default_rng([seed, chunk_index]).integers(
+            0, 2, size=(count, n), dtype=np.uint8)
+        signs = [_referee_sign(int.from_bytes(np.packbits(row, bitorder="little").tobytes(),
+                                              "little")) for row in rows]
+        mstd_rows = [i for i, sign in enumerate(signs) if sign > 0]
+        expected = (count, len(mstd_rows), signs.count(-1), signs.count(0),
+                    [(chunk_index, i, tuple(int(k) + 1 for k in np.flatnonzero(rows[i])))
+                     for i in mstd_rows[:8]])
+        assert _sample_chunk((seed, chunk_index, count, n)) == expected
+
+
+@pytest.mark.parametrize("task", [(16, 0, 1 << 14), (16, 1 << 14, 1 << 15)])
+def test_enum_chunk_matches_per_mask_recount(task):
+    d, lo, hi = task
+    signs, witnesses = [], []
+    for mask in range(lo, hi):
+        bits = (mask << 1) | 1 | (1 << d)
+        signs.append(_referee_sign(bits))
+        if signs[-1] > 0:
+            elements = tuple(i for i in range(d + 1) if (bits >> i) & 1)
+            witnesses.append((d, len(elements), elements))
+    expected = (hi - lo, signs.count(1), signs.count(-1), signs.count(0),
+                sorted(witnesses)[:8])
+    assert _enum_chunk(task) == expected
+
+
+@pytest.mark.parametrize("task", [(20, 5), (18, 8)])
+def test_card_chunk_spans_batches_and_matches_recount(task):
+    from itertools import combinations
+
+    d, j = task
+    signs, witnesses = [], []
+    for combo in combinations(range(1, d), j):
+        signs.append(_referee_sign(1 | (1 << d) | sum(1 << c for c in combo)))
+        if signs[-1] > 0:
+            witnesses.append((j + 2, d, (0, *combo, d)))
+    assert len(signs) > 2 * _BATCH
+    expected = (len(signs), signs.count(1), signs.count(-1), signs.count(0),
+                sorted(witnesses)[:8])
+    assert _card_chunk(task) == expected
+
+
+def test_pinned_landscape_counts():
+    report = exhaustive_by_diameter(19)
+    assert (report.total_examined, report.mstd_count, report.mdts_count,
+            report.balanced_count) == (524288, 170, 474344, 49774)
+    assert report.witnesses[0] == IntegerSet(CONWAY)
+    report = min_cardinality_scan(24, 7)
+    assert (report.total_examined, report.mstd_count, report.mdts_count,
+            report.balanced_count) == (190051, 0, 189046, 1005)
+
+
+# ---------------------------------------------------------------------------
+# worker count and the shared pool
+# ---------------------------------------------------------------------------
+
+def test_worker_count_clamps_and_rejects(monkeypatch):
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
+    assert _worker_count(10**9, 100) == 4
+    assert _worker_count(3, 100) == 3
+    assert _worker_count(8, 2) == 2
+    assert _worker_count(1, 0) == 0
+    monkeypatch.setattr(search.os, "cpu_count", lambda: None)
+    assert _worker_count(8, 100) == 1
+    for bad in (0, -3):
+        with pytest.raises(InvalidParameterError):
+            _worker_count(bad, 100)
+    with pytest.raises(InvalidParameterError):
+        exhaustive_by_diameter(3, workers=0)
+
+
+def test_pool_is_reused_then_replaced_on_count_change(monkeypatch):
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
+    first = exhaustive_by_diameter(12, workers=2)
+    pool = search._pool[2]
+    second = exhaustive_by_diameter(12, workers=2)
+    assert first.to_json() == second.to_json()
+    assert search._pool == (os.getpid(), 2, pool)
+    third = exhaustive_by_diameter(12, workers=5)  # clamped to 3
+    assert third.to_json() == first.to_json()
+    assert search._pool[:2] == (os.getpid(), 3) and search._pool[2] is not pool
+
+
+def _fail_on_two(x: int) -> int:
+    if x == 2:
+        raise ValueError("task 2 fails")
+    return x
+
+
+def test_failed_pooled_map_replaces_the_pool(monkeypatch):
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    exhaustive_by_diameter(12, workers=2)
+    pool = search._pool[2]
+    with pytest.raises(ValueError, match="task 2 fails"):
+        search._run_tasks(_fail_on_two, [1, 2, 3, 4], 2)
+    assert search._pool is None
+    after = exhaustive_by_diameter(12, workers=2)
+    assert after.to_json() == exhaustive_by_diameter(12).to_json()
+    assert search._pool[:2] == (os.getpid(), 2) and search._pool[2] is not pool
+
+
+def test_pooled_search_exits_cleanly_in_fresh_interpreter():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = ("import os; os.cpu_count = lambda: 2\n"
+              "from mstd_chains import exhaustive_by_diameter, sample_mstd_proportion\n"
+              "a = exhaustive_by_diameter(12, workers=2)\n"
+              "b = sample_mstd_proportion(20, 9000, seed=3, workers=2)\n"
+              "print(a.total_examined, b.total_examined)\n")
+    src = str(Path(search.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert done.stdout.split() == [str(2 ** 12), "9000"]
