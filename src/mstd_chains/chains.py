@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .constructions import (MultiDimAP, NathansonParams, interval_minus_point,
                             mdts_interval_plus_point, nathanson_mstd,
@@ -99,11 +99,20 @@ def chain_to_json(record: ChainRecord) -> str:
     return json.dumps(rows, indent=2)
 
 
+def _json_int(row: dict, key: str) -> int:
+    value = row[key]
+    if type(value) is not int:  # bool is an int subclass; JSON true is not a count
+        raise InvalidParameterError(f"{key!r} must be a JSON integer, got {value!r}")
+    return value
+
+
 def chain_from_json(text: str, no_fill_in_required: bool = False) -> ChainRecord:
     """Rebuild a chain from its JSON array form.
 
-    Stored counts and classifications are kept as read, not recomputed, so
-    verification can catch records that disagree with their own elements.
+    Elements and the ``index``, ``card``, ``diam``, ``sums`` and ``diffs``
+    fields must be JSON integers. Stored counts and classifications are
+    kept as read, not recomputed, so verification can catch records that
+    disagree with their own elements.
     """
     try:
         rows = json.loads(text)
@@ -115,18 +124,18 @@ def chain_from_json(text: str, no_fill_in_required: bool = False) -> ChainRecord
     for i, row in enumerate(rows):
         try:
             elements = IntegerSet(row["elements"])
-            card = int(row["card"])
-            diam = int(row["diam"])
+            card = _json_int(row, "card")
+            diam = _json_int(row, "diam")
             stored = SetProfile(
                 cardinality=card,
                 diameter=diam,
-                sum_count=int(row["sums"]),
-                diff_count=int(row["diffs"]),
+                sum_count=_json_int(row, "sums"),
+                diff_count=_json_int(row, "diffs"),
                 classification=Classification(row["classification"]),
                 density=Fraction(card, diam) if diam > 0 else None,
             )
-            steps.append(ChainStep(index=int(row.get("index", i + 1)),
-                                   set=elements, profile=stored))
+            index = _json_int(row, "index") if "index" in row else i + 1
+            steps.append(ChainStep(index=index, set=elements, profile=stored))
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidParameterError(f"chain JSON: step {i + 1}: {exc}") from None
     return ChainRecord(method=None, steps=tuple(steps),
@@ -147,31 +156,20 @@ def _assemble(method: str, stream: Iterator[tuple[IntegerSet, dict]],
         prof = profile(current)
         if steps:
             # the generators are theorem-backed; a violation here is a bug
-            assert steps[-1].set.ispropersubset(current), "chain steps must nest"
-            assert prof.classification != Classification.BALANCED
-            assert prof.classification != steps[-1].profile.classification
+            prev = steps[-1]
+            if not prev.set.ispropersubset(current):
+                raise AssertionError(f"{method}: step {index} does not properly "
+                                     f"contain step {prev.index}")
+            if prof.classification in (Classification.BALANCED, prev.profile.classification):
+                raise AssertionError(f"{method}: step {index} classifies "
+                                     f"{prof.classification.value} after "
+                                     f"{prev.profile.classification.value}")
         steps.append(ChainStep(index=index, set=current, profile=prof, params=params))
     return ChainRecord(method=method, steps=tuple(steps),
                        no_fill_in_required=no_fill_in_required)
 
 
-def _default_choose_p(m: int) -> int:
-    """Smallest p > m+1 minimizing the follow-on interval length n.
-
-    n is p+5 for even p and p+2 for odd p; ties favor the smaller p. Only a
-    handful of candidates past m+1 can win.
-    """
-    best = None
-    for p in range(m + 2, m + 8):
-        n = p + 5 if p % 2 == 0 else p + 2
-        if best is None or (n, p) < best:
-            best = (n, p)
-    return best[1]
-
-
-def iter_fill1_chain(seed: IntegerSet,
-                     choose_p: Optional[Callable[[int], int]] = None
-                     ) -> Iterator[tuple[IntegerSet, dict]]:
+def iter_fill1_chain(seed: IntegerSet) -> Iterator[tuple[IntegerSet, dict]]:
     """Endless fill-in chain: interval-plus-point MDTS steps alternating
     with interval-with-hole MSTD steps, starting from any MSTD seed.
 
@@ -180,33 +178,27 @@ def iter_fill1_chain(seed: IntegerSet,
     """
     if classify(seed) != Classification.MSTD:
         raise InvalidParameterError("fill1_chain: seed must be MSTD")
-    chooser = choose_p or _default_choose_p
     shift = -seed.min
     current = affine(seed, 1, shift)
     yield current, {"translation": shift}
     while True:
         m = current.max
-        p = int(chooser(m))
-        if p <= m + 1:
-            raise InvalidParameterError("fill1_chain: chosen p must exceed m + 1")
+        # the MSTD step is an interval of length n = p + 2 for odd p and
+        # p + 5 for even p, so the shortest comes from the least odd p > m + 1
+        p = m + 3 - m % 2
         current, surplus = mdts_interval_plus_point(m, p)
         yield current, {"m": m, "p": p, "surplus": surplus}
-        n = p + 5 if p % 2 == 0 else p + 2
-        r = n - 3
+        n = p + 2
+        r = n - 3  # p - 1 > m, so the hole misses [0, m] | {p}
         base = interval_minus_point(n, r, check=False)
-        if not current.ispropersubset(base):
-            raise InvalidParameterError(
-                "fill1_chain: hole position r collides with the previous step"
-            )
         current = nathanson_mstd(
             NathansonParams(m=n, B=base, lstar=MultiDimAP.point(r), k=2)
         )
         yield current, {"m": n, "r": r, "k": 2}
 
 
-def fill1_chain(seed: IntegerSet, num_steps: int,
-                choose_p: Optional[Callable[[int], int]] = None) -> ChainRecord:
-    return _assemble("fill1", iter_fill1_chain(seed, choose_p), num_steps,
+def fill1_chain(seed: IntegerSet, num_steps: int) -> ChainRecord:
+    return _assemble("fill1", iter_fill1_chain(seed), num_steps,
                      no_fill_in_required=False)
 
 
@@ -354,34 +346,6 @@ class MethodConfig:
             f"unknown method {self.method!r}; expected one of {METHOD_TAGS}"
         )
 
-    def to_json(self) -> dict:
-        out: dict = {"method": self.method}
-        if self.seed is not None:
-            out["seed"] = self.seed.to_list()
-        for name in ("L", "R"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value.to_list()
-        for name in ("n", "m"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        if self.method == "thm31":
-            out["mode"] = self.mode
-        return out
-
-    @staticmethod
-    def from_json(data: dict) -> "MethodConfig":
-        return MethodConfig(
-            method=data["method"],
-            seed=IntegerSet(data["seed"]) if "seed" in data else None,
-            L=IntegerSet(data["L"]) if "L" in data else None,
-            R=IntegerSet(data["R"]) if "R" in data else None,
-            n=data.get("n"),
-            m=data.get("m"),
-            mode=data.get("mode", "strict"),
-        )
-
 
 # ---------------------------------------------------------------------------
 # verification
@@ -429,12 +393,11 @@ class VerificationReport:
 _ORACLE_CARD_LIMIT = 2000
 
 
-def verify_chain(record: ChainRecord, no_fill_in: Optional[bool] = None,
-                 oracle_card_limit: int = _ORACLE_CARD_LIMIT) -> VerificationReport:
+def verify_chain(record: ChainRecord, no_fill_in: Optional[bool] = None) -> VerificationReport:
     """Re-derive every profile and re-check the chain's structural claims.
 
     Profiles are recomputed from the raw elements, via the independent
-    double-loop oracle up to ``oracle_card_limit`` elements and the
+    double-loop oracle up to ``_ORACLE_CARD_LIMIT`` elements and the
     bit-vector engine above it. Checks: stored profiles match, steps nest
     properly, classifications strictly alternate, and (when required) no
     gap of any step is ever filled by a later step. Failures land in the
@@ -452,7 +415,7 @@ def verify_chain(record: ChainRecord, no_fill_in: Optional[bool] = None,
             profile_witnesses.append(f"step {step.index}: empty set")
             recomputed.append(step.profile)
             continue
-        if len(step.set) <= oracle_card_limit:
+        if len(step.set) <= _ORACLE_CARD_LIMIT:
             fresh = oracle_profile(step.set)
         else:
             fresh = profile(step.set)

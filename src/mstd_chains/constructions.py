@@ -4,8 +4,10 @@ Each generator checks its hypotheses eagerly and raises
 InvalidParameterError naming the failed clause: the constructions are only
 valid inside their hypotheses, and silent misuse would hand back sets that
 do not classify as advertised. Postconditions (hull identities, the
-advertised classification) are cheap at the sizes in scope and are verified
-by default; pass ``check=False`` to skip them in tight loops.
+advertised classification) are cheap at the sizes in scope and are always
+verified. Only ``interval_minus_point`` and the two explicit
+non-filling-in steps take ``check=False``, which the chain generators pass:
+they profile every step they emit.
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ def interval_minus_point(m: int, r: int, check: bool = True) -> IntegerSet:
     return out
 
 
-def nathanson_mstd(params: NathansonParams, check: bool = True) -> IntegerSet:
+def nathanson_mstd(params: NathansonParams) -> IntegerSet:
     """MSTD set built from an interval-like base, a ladder, and a mirror.
 
     The ladder is (m - lstar) + m*[1, k]; the mirror is c - B where
@@ -133,12 +135,11 @@ def nathanson_mstd(params: NathansonParams, check: bool = True) -> IntegerSet:
     ladder = IntegerSet(m - s + m * j for s in ex for j in range(1, k + 1))
     c = (k + 3) * m - ex.min - ex.max
     out = B.union(ladder, affine(B, -1, c), IntegerSet([m]))
-    if check:
-        _require_classification(out, Classification.MSTD, "nathanson_mstd")
+    _require_classification(out, Classification.MSTD, "nathanson_mstd")
     return out
 
 
-def mdts_interval_plus_point(m: int, p: int, check: bool = True) -> tuple[IntegerSet, int]:
+def mdts_interval_plus_point(m: int, p: int) -> tuple[IntegerSet, int]:
     """[0, m] plus one point p > m+1, with its difference surplus.
 
     Returns (set, surplus) where surplus = |A-A| - |A+A| equals m when
@@ -150,14 +151,13 @@ def mdts_interval_plus_point(m: int, p: int, check: bool = True) -> tuple[Intege
         raise InvalidParameterError("mdts_interval_plus_point: p must exceed m + 1")
     out = IntegerSet.interval(0, m).union(IntegerSet([p]))
     surplus = m if p > 2 * m else p - m - 1
-    if check:
-        got = len(diffset(out)) - len(sumset(out))
-        if got != surplus:
-            raise AssertionError(
-                f"mdts_interval_plus_point: surplus {got}, formula gives {surplus}"
-            )
-        if got <= 0:
-            raise AssertionError("mdts_interval_plus_point: output is not MDTS")
+    got = len(diffset(out)) - len(sumset(out))
+    if got != surplus:
+        raise AssertionError(
+            f"mdts_interval_plus_point: surplus {got}, formula gives {surplus}"
+        )
+    if got <= 0:
+        raise AssertionError("mdts_interval_plus_point: output is not MDTS")
     return out, surplus
 
 
@@ -172,7 +172,7 @@ def _max_missing_run(middle: IntegerSet, lo: int, hi: int) -> int:
 
 
 def miller_mstd(L: IntegerSet, R: IntegerSet, n: int, k: int, m: int,
-                middle: Optional[IntegerSet] = None, check: bool = True) -> IntegerSet:
+                middle: Optional[IntegerSet] = None) -> IntegerSet:
     """Stretch a fringe-complete MSTD set L | R by inserting middle blocks.
 
     L lives in [1, n], R in [n+1, 2n], their union contains 1 and 2n, is
@@ -218,8 +218,7 @@ def miller_mstd(L: IntegerSet, R: IntegerSet, n: int, k: int, m: int,
         IntegerSet.interval(n + k + m + 1, n + 2 * k + m),
         R.shift(2 * k + m),
     )
-    if check:
-        _require_classification(out, Classification.MSTD, "miller_mstd")
+    _require_classification(out, Classification.MSTD, "miller_mstd")
     return out
 
 
@@ -334,7 +333,7 @@ def check_thm31_conditions(L: IntegerSet, R: IntegerSet, n: int,
 
 
 def thm31_base(L: IntegerSet, R: IntegerSet, n: int, m: int,
-               mode: str = "strict", check: bool = True) -> IntegerSet:
+               mode: str = "strict") -> IntegerSet:
     """First set of the fringe-shift sequence: L | [n, m] | (m + n - R).
 
     Requires the fringe-pair conditions (strict or generalized), m >= n,
@@ -354,8 +353,7 @@ def thm31_base(L: IntegerSet, R: IntegerSet, n: int, m: int,
         raise InvalidParameterError(
             f"thm31_base: m unsuitable, sumset misses {gap} in [n+1, 2m+n-1]"
         )
-    if check:
-        _require_classification(out, Classification.MSTD, "thm31_base")
+    _require_classification(out, Classification.MSTD, "thm31_base")
     return out
 
 

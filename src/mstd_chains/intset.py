@@ -14,6 +14,7 @@ arithmetic instead of allocating an enormous bit-vector.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -32,6 +33,9 @@ DENSE_DIAMETER_LIMIT = 1 << 26
 
 # Row block for the chunked outer-sum fallback on very wide sets.
 _OUTER_BLOCK = 256
+
+# One token of a set literal: an ASCII decimal integer.
+_TOKEN = re.compile(r"-?[0-9]+")
 
 
 class Classification(str, Enum):
@@ -55,9 +59,9 @@ def _smear(x: int, length: int) -> int:
 class IntegerSet:
     """Immutable finite set of integers, kept strictly increasing.
 
-    Construct from any iterable of ints; duplicates collapse. All derived
-    statistics (sumset, difference set, profile) are recomputable from the
-    elements alone.
+    Construct from any iterable of ints (Python or numpy integers, never
+    bools); duplicates collapse. All derived statistics (sumset, difference
+    set, profile) are recomputable from the elements alone.
     """
 
     __slots__ = ("_els", "_bits", "_offset")
@@ -68,8 +72,16 @@ class IntegerSet:
             self._bits = elements._bits
             self._offset = elements._offset
             return
+        items = list(elements)
+        kinds = set(map(type, items)) - {int}
+        if kinds:
+            wrong = {k for k in kinds if k is bool or not issubclass(k, (int, np.integer))}
+            if wrong:
+                bad = next(x for x in items if type(x) in wrong)
+                raise InvalidParameterError(f"IntegerSet: element {bad!r} is not an integer")
+            items = [int(x) for x in items]
         try:
-            arr = np.array(sorted(set(int(x) for x in elements)), dtype=np.int64)
+            arr = np.array(sorted(set(items)), dtype=np.int64)
         except OverflowError as exc:
             raise ArithmeticRangeError("element outside signed 64-bit range") from exc
         self._els = arr
@@ -117,18 +129,18 @@ class IntegerSet:
     def from_text(cls, text: str) -> "IntegerSet":
         """Parse the canonical text form: comma-separated, strictly increasing.
 
-        Raises InvalidParameterError naming the 1-based token position on a
-        malformed or out-of-order token.
+        Each token is an ASCII decimal integer, ``-?[0-9]+``, with optional
+        surrounding whitespace. Raises InvalidParameterError naming the
+        1-based token position on a malformed or out-of-order token.
         """
         items: list[int] = []
         for pos, token in enumerate(text.split(","), start=1):
             token = token.strip()
-            try:
-                value = int(token)
-            except ValueError:
+            if not _TOKEN.fullmatch(token):
                 raise InvalidParameterError(
                     f"set literal: token {pos} ({token!r}) is not an integer"
-                ) from None
+                )
+            value = int(token)
             if items and value <= items[-1]:
                 raise InvalidParameterError(
                     f"set literal: token {pos} ({token!r}) is not strictly increasing"

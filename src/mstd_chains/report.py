@@ -316,7 +316,7 @@ def compare_to_golden(record: ChainRecord, method: Optional[str] = None) -> Tabl
                     status = "mismatch"
             checks.append(CellCheck(i, column, expected_str, computed, status))
     analytic = ANALYTIC_DENSITY_LIMITS.get(method)
-    footer_computed = format3(analytic) if analytic is not None else "N/A"
+    footer_computed = format3(analytic)
     return TableComparison(
         method=method,
         cells=tuple(checks),

@@ -25,10 +25,10 @@ def round3_float(value: Optional[Fraction]) -> Optional[float]:
     return float(round3(value))
 
 
-def format3(value: Optional[Fraction], na: str = "N/A") -> str:
-    """Fixed three-decimal rendering, or the N/A marker."""
+def format3(value: Optional[Fraction]) -> str:
+    """Fixed three-decimal rendering, or "N/A" for None."""
     if value is None:
-        return na
+        return "N/A"
     units = round3(value) * 1000
     whole, frac = divmod(int(units), 1000)
     return f"{whole}.{frac:03d}"

@@ -26,8 +26,7 @@ from __future__ import annotations
 import atexit
 import math
 import os
-from bisect import insort
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain, combinations, islice
 from multiprocessing import Pool
@@ -167,10 +166,11 @@ class SearchReport:
         return out
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise InvalidParameterError("wilson_interval: trials must be positive")
+    z = 1.96
     phat = successes / trials
     denom = 1 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -221,22 +221,20 @@ def _run_tasks(worker, tasks: Sequence, workers: int) -> list:
         raise
 
 
-def _merge_witnesses(parts: Iterable[Sequence[tuple]], cap: int) -> list[tuple]:
-    """Keep the cap smallest keyed witnesses; associative and order-free."""
-    merged: list[tuple] = []
-    for part in parts:
-        merged.extend(part)
-    merged.sort()
-    return merged[:cap]
+def _scan(worker, tasks: Sequence, workers: int, domain: str, **extra) -> SearchReport:
+    """Run the chunk tasks and fold their results into one report.
 
-
-def _keep_best(witnesses: list[tuple], item: tuple, cap: int) -> None:
-    """Maintain the cap smallest items in sorted order."""
-    if len(witnesses) < cap:
-        insort(witnesses, item)
-    elif item < witnesses[-1]:
-        witnesses.pop()
-        insort(witnesses, item)
+    Each chunk returns (examined, mstd, mdts, balanced, witnesses), where a
+    witness is a sort key ending in the set's elements. Counts add up and
+    the report keeps the ``_WITNESS_CAP`` smallest keys of all chunks, so it
+    does not depend on how the tasks were split between workers.
+    """
+    parts = _run_tasks(worker, tasks, workers)
+    total, mstd, mdts, bal = (sum(p[i] for p in parts) for i in range(4))
+    keys = sorted(chain.from_iterable(p[4] for p in parts))[:_WITNESS_CAP]
+    return SearchReport(domain=domain, total_examined=total, mstd_count=mstd,
+                        mdts_count=mdts, balanced_count=bal,
+                        witnesses=tuple(IntegerSet(k[-1]) for k in keys), **extra)
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +261,12 @@ def _enum_chunk(task: tuple[int, int, int]) -> tuple[int, int, int, int, list[tu
             cut = np.partition(cards, k)[k]
             for b in hits[cards <= cut].tolist():
                 elements = _elements(b)
-                _keep_best(witnesses, (d, len(elements), elements), _WITNESS_CAP)
+                witnesses.append((d, len(elements), elements))
     mdts, bal, mstd = (int(c) for c in counts)
-    return hi - lo, mstd, mdts, bal, witnesses
+    return hi - lo, mstd, mdts, bal, sorted(witnesses)[:_WITNESS_CAP]
 
 
-def exhaustive_by_diameter(d_max: int, workers: int = 1,
-                           witness_cap: int = _WITNESS_CAP) -> SearchReport:
+def exhaustive_by_diameter(d_max: int, workers: int = 1) -> SearchReport:
     """Classify every subset of [0, d] containing 0 and d, for all d <= d_max.
 
     Witnesses are the MSTD sets smallest by (diameter, cardinality,
@@ -284,20 +281,8 @@ def exhaustive_by_diameter(d_max: int, workers: int = 1,
         interior = 1 << max(d - 1, 0)
         for lo in range(0, interior, _ENUM_CHUNK):
             tasks.append((d, lo, min(lo + _ENUM_CHUNK, interior)))
-    parts = _run_tasks(_enum_chunk, tasks, workers)
-    total = sum(p[0] for p in parts)
-    mstd = sum(p[1] for p in parts)
-    mdts = sum(p[2] for p in parts)
-    bal = sum(p[3] for p in parts)
-    witnesses = _merge_witnesses((p[4] for p in parts), witness_cap)
-    return SearchReport(
-        domain=f"subsets of [0,d] containing 0 and d, 0 <= d <= {d_max}",
-        total_examined=total,
-        mstd_count=mstd,
-        mdts_count=mdts,
-        balanced_count=bal,
-        witnesses=tuple(IntegerSet(w[2]) for w in witnesses),
-    )
+    return _scan(_enum_chunk, tasks, workers,
+                 f"subsets of [0,d] containing 0 and d, 0 <= d <= {d_max}")
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +315,7 @@ def _card_chunk(task: tuple[int, int]) -> tuple[int, int, int, int, list[tuple]]
     return mdts + bal + mstd, mstd, mdts, bal, witnesses
 
 
-def min_cardinality_scan(d_max: int, card_max: int, workers: int = 1,
-                         witness_cap: int = _WITNESS_CAP) -> SearchReport:
+def min_cardinality_scan(d_max: int, card_max: int, workers: int = 1) -> SearchReport:
     """Classify subsets of [0, d] with 0, d and at most card_max elements.
 
     Establishes whether any MSTD set with fewer than 8 elements exists in
@@ -359,18 +343,9 @@ def min_cardinality_scan(d_max: int, card_max: int, workers: int = 1,
             tasks.append((d, j))
     # largest first, so that no big task is left for one worker at the end
     tasks.sort(key=lambda t: math.comb(max(t[0] - 1, 0), t[1]), reverse=True)
-    parts = _run_tasks(_card_chunk, tasks, workers)
-    total = sum(p[0] for p in parts)
-    witnesses = _merge_witnesses((p[4] for p in parts), witness_cap)
-    return SearchReport(
-        domain=(f"subsets of [0,d] containing 0 and d, 0 <= d <= {d_max}, "
-                f"cardinality <= {card_max}"),
-        total_examined=total,
-        mstd_count=sum(p[1] for p in parts),
-        mdts_count=sum(p[2] for p in parts),
-        balanced_count=sum(p[3] for p in parts),
-        witnesses=tuple(IntegerSet(w[2]) for w in witnesses),
-    )
+    return _scan(_card_chunk, tasks, workers,
+                 f"subsets of [0,d] containing 0 and d, 0 <= d <= {d_max}, "
+                 f"cardinality <= {card_max}")
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +377,7 @@ def _sample_chunk(task: tuple[int, int, int, int]) -> tuple[int, int, int, int, 
 
 
 def sample_mstd_proportion(n: int, samples: int, seed: int,
-                           workers: int = 1,
-                           witness_cap: int = _WITNESS_CAP) -> SearchReport:
+                           workers: int = 1) -> SearchReport:
     """Estimate the MSTD fraction among uniform random subsets of [1, n].
 
     Each element is included independently with probability 1/2. Sampling
@@ -424,21 +398,11 @@ def sample_mstd_proportion(n: int, samples: int, seed: int,
         tasks.append((seed, chunk_index, count, n))
         chunk_index += 1
         remaining -= count
-    parts = _run_tasks(_sample_chunk, tasks, workers)
-    total = sum(p[0] for p in parts)
-    mstd = sum(p[1] for p in parts)
-    witnesses = _merge_witnesses((p[4] for p in parts), witness_cap)
-    return SearchReport(
-        domain=f"uniform random subsets of [1,{n}], p=1/2 per element",
-        total_examined=total,
-        mstd_count=mstd,
-        mdts_count=sum(p[2] for p in parts),
-        balanced_count=sum(p[3] for p in parts),
-        witnesses=tuple(IntegerSet(w[2]) for w in witnesses),
-        seed=seed,
-        mstd_fraction=Fraction(mstd, total),
-        ci95=wilson_interval(mstd, total),
-    )
+    report = _scan(_sample_chunk, tasks, workers,
+                   f"uniform random subsets of [1,{n}], p=1/2 per element", seed=seed)
+    return replace(report,
+                   mstd_fraction=Fraction(report.mstd_count, report.total_examined),
+                   ci95=wilson_interval(report.mstd_count, report.total_examined))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from mstd_chains import IntegerSet
+
+REPO = Path(__file__).resolve().parents[1]
 
 CONWAY = (0, 2, 3, 4, 7, 11, 12, 14)
 
@@ -34,3 +41,12 @@ def naive_sums(elements) -> set[int]:
 def naive_diffs(elements) -> set[int]:
     els = list(elements)
     return {a - b for a in els for b in els}
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports the package from this checkout."""
+    path = [str(REPO / "src")] + ([os.environ["PYTHONPATH"]]
+                                  if os.environ.get("PYTHONPATH") else [])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)

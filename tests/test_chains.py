@@ -11,7 +11,7 @@ from mstd_chains import (ChainBreakError, ChainRecord, Classification,
                          verify_chain)
 from mstd_chains import chains as chains_module
 
-from .conftest import THM31_GENERAL, THM31_STRICT
+from .conftest import THM31_GENERAL, THM31_STRICT, run_python
 
 TABLE1 = {
     "sums": (26, 33, 126, 130, 414, 418, 1278),
@@ -80,13 +80,6 @@ def test_fill1_oracle_reclassification(conway):
         assert oracle_profile(step.set).classification == expected
     for prev, cur in zip(record.steps, record.steps[1:]):
         assert prev.set.ispropersubset(cur.set)
-
-
-def test_fill1_custom_p_rule(conway):
-    record = fill1_chain(conway, 2, choose_p=lambda m: m + 4)
-    assert record.steps[1].set.max == 18
-    with pytest.raises(InvalidParameterError):
-        fill1_chain(conway, 2, choose_p=lambda m: m)
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +360,42 @@ def test_chain_json_rejects_garbage():
         chain_from_json('[{"elements": [1]}]')
 
 
+@pytest.mark.parametrize("field, value", [
+    ("card", "11"), ("diam", 14.0), ("sums", True), ("diffs", 33.0), ("index", "2"),
+])
+def test_chain_json_counts_must_be_integers(conway, field, value):
+    rows = json.loads(chain_to_json(fill1_chain(conway, 2)))
+    rows[1][field] = value
+    with pytest.raises(InvalidParameterError, match=f"step 2: '{field}' must be a JSON integer"):
+        chain_from_json(json.dumps(rows))
+
+
+def test_chain_json_elements_must_be_integers(conway):
+    # int() would truncate 17.7 to 17, and the chain would then verify
+    rows = json.loads(chain_to_json(fill1_chain(conway, 2)))
+    assert rows[1]["elements"][-1] == 17
+    rows[1]["elements"][-1] = 17.7
+    with pytest.raises(InvalidParameterError, match="step 2: .*17.7 is not an integer"):
+        chain_from_json(json.dumps(rows))
+
+
+def test_chain_invariants_hold_under_optimize():
+    # asserts vanish under -O; the invariants must not
+    script = ("from mstd_chains import nonfill_explicit_mstd as mstd\n"
+              "from mstd_chains.chains import _assemble\n"
+              "for bad in ([mstd(1), mstd(1)], [mstd(1), mstd(2)]):\n"
+              "    try:\n"
+              "        _assemble('nonfill', ((s, {}) for s in bad), 2, True)\n"
+              "    except AssertionError as exc:\n"
+              "        print(exc)\n")
+    done = run_python("-O", "-c", script)
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout.splitlines() == [
+        "nonfill: step 2 does not properly contain step 1",
+        "nonfill: step 2 classifies MSTD after MSTD",
+    ]
+
+
 def test_ratios_first_row_none(conway):
     record = fill1_chain(conway, 3)
     ratios = record.ratios()
@@ -383,9 +412,6 @@ def test_method_config_dispatch(conway, fill2_seed):
         MethodConfig(method="fill2", L=L).build(2)
     with pytest.raises(InvalidParameterError):
         MethodConfig(method="warp").build(2)
-    cfg = MethodConfig(method="thm31", L=IntegerSet(THM31_STRICT["L"]),
-                       R=IntegerSet(THM31_STRICT["R"]), n=8, m=10)
-    assert MethodConfig.from_json(cfg.to_json()) == cfg
 
 
 def test_chain_requires_positive_steps(conway):

@@ -115,6 +115,16 @@ def test_verify_detects_tampering(capsys, chain_file):
     assert "FAIL" in out
 
 
+def test_verify_rejects_non_integer_counts(capsys, chain_file):
+    rows = json.loads(chain_file.read_text())
+    rows[0]["card"] = str(rows[0]["card"])
+    chain_file.write_text(json.dumps(rows))
+    code, out, err = run(capsys, "verify", str(chain_file))
+    assert code == 2
+    assert out == ""
+    assert "step 1: 'card' must be a JSON integer" in err
+
+
 def test_verify_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "verify", str(tmp_path / "absent.json"))
     assert code == 2

@@ -228,6 +228,22 @@ def test_text_errors_name_position():
         IntegerSet.from_text("1,5,5")
 
 
+def test_elements_must_be_integers():
+    # int() would truncate the floats and read True as 1
+    for bad in ([1.5, 2.9, True], [1, True], [2.0], ["3"], [np.float64(4)], [np.bool_(True)]):
+        with pytest.raises(InvalidParameterError, match="not an integer"):
+            IntegerSet(bad)
+    assert IntegerSet([np.int64(3), np.uint8(1), 2]).to_list() == [1, 2, 3]
+
+
+def test_text_tokens_are_ascii_decimal_integers():
+    # int() reads "1_0" as 10 and fullwidth digits as ASCII ones
+    for bad in ("1_0,20", "10,\uff12\uff10", "+5", "1e3", "0x10"):
+        with pytest.raises(InvalidParameterError, match="is not an integer"):
+            IntegerSet.from_text(bad)
+    assert IntegerSet.from_text(" -3 , 4,10").to_list() == [-3, 4, 10]
+
+
 def test_lazy_bits_backed_sets(conway):
     s = sumset(conway)  # starts out bits-backed
     assert len(s) == 26

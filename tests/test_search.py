@@ -12,7 +12,7 @@ from mstd_chains import (Classification, IntegerSet, InvalidParameterError,
 from mstd_chains.search import (_BATCH, _card_chunk, _enum_chunk, _mask_counts,
                                 _sample_chunk, _word_counts, _worker_count)
 
-from .conftest import CONWAY, FILL2_L, FILL2_R
+from .conftest import CONWAY, FILL2_L, FILL2_R, REPO
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +307,24 @@ def test_pinned_landscape_counts():
     report = min_cardinality_scan(24, 7)
     assert (report.total_examined, report.mstd_count, report.mdts_count,
             report.balanced_count) == (190051, 0, 189046, 1005)
+
+
+def test_search_reports_match_golden_file():
+    # sampling at n > 32 and cardinality scans past d = 31 take the
+    # big-integer path, which no other test pins
+    reports = {
+        "exhaustive_by_diameter(16)": exhaustive_by_diameter(16),
+        "exhaustive_by_diameter(16, workers=2)": exhaustive_by_diameter(16, workers=2),
+        "min_cardinality_scan(20, 8)": min_cardinality_scan(20, 8),
+        "min_cardinality_scan(34, 5)": min_cardinality_scan(34, 5),
+        "min_cardinality_scan(40, 4)": min_cardinality_scan(40, 4),
+        "sample_mstd_proportion(40, 5000, 7)": sample_mstd_proportion(40, 5000, 7),
+        "sample_mstd_proportion(30, 9000, 3, workers=2)":
+            sample_mstd_proportion(30, 9000, 3, workers=2),
+        "sample_mstd_proportion(200, 3000, 11)": sample_mstd_proportion(200, 3000, 11),
+    }
+    text = json.dumps({k: r.to_json() for k, r in reports.items()}, indent=1, sort_keys=True)
+    assert text + "\n" == (REPO / "tests" / "data" / "search_reports.json").read_text()
 
 
 # ---------------------------------------------------------------------------
