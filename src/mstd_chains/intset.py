@@ -9,7 +9,9 @@ sparse sets and the dense interval-plus-fringe sets this package generates
 stay cheap.
 
 Sets wider than ``DENSE_DIAMETER_LIMIT`` fall back to vectorized element
-arithmetic instead of allocating an enormous bit-vector.
+arithmetic instead of allocating an enormous bit-vector. That fallback
+forms every pair, so it refuses sets of more than 10**4 elements with
+``ResourceLimitError`` before allocating anything.
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ DENSE_DIAMETER_LIMIT = 1 << 26
 
 # Row block for the chunked outer-sum fallback on very wide sets.
 _OUTER_BLOCK = 256
+
+# Most pairs the outer-sum fallback forms for one set: 10**4 elements.
+_WIDE_PAIR_LIMIT = 10 ** 8
 
 # One token of a set literal: an ASCII decimal integer.
 _TOKEN = re.compile(r"-?[0-9]+")
@@ -121,8 +126,11 @@ class IntegerSet:
             return cls()
         if not (INT64_MIN <= lo and hi <= INT64_MAX):
             raise ArithmeticRangeError("interval endpoint outside signed 64-bit range")
-        if hi - lo + 1 > (1 << 31):
-            raise ResourceLimitError("interval wider than 2**31 elements")
+        # a wider interval would leave the bit-vector path, and its pairs
+        # would exceed the fallback's budget
+        if hi - lo > DENSE_DIAMETER_LIMIT:
+            raise ResourceLimitError(
+                f"interval of more than {DENSE_DIAMETER_LIMIT + 1} elements")
         return cls._from_sorted(np.arange(lo, hi + 1, dtype=np.int64))
 
     @classmethod
@@ -367,6 +375,13 @@ def _check_diff_range(a: IntegerSet) -> None:
         raise ArithmeticRangeError("difference set would leave signed 64-bit range")
 
 
+def _check_pair_budget(a: IntegerSet, op: str) -> None:
+    if len(a) ** 2 > _WIDE_PAIR_LIMIT:
+        raise ResourceLimitError(
+            f"{op}: {len(a)} elements over a diameter above {DENSE_DIAMETER_LIMIT} "
+            f"would need more than {_WIDE_PAIR_LIMIT} pairs")
+
+
 def _outer_unique(left: np.ndarray, right: np.ndarray, subtract: bool = False) -> np.ndarray:
     """Unique pairwise sums (or differences) of two int64 arrays, in row blocks.
 
@@ -392,6 +407,7 @@ def sumset(a: IntegerSet) -> IntegerSet:
         for start, end in a._runs():
             acc |= _smear(bits, end - start + 1) << (start - offset)
         return IntegerSet._from_bits(acc, 2 * offset)
+    _check_pair_budget(a, "sumset")
     els = a.elements
     return IntegerSet._from_sorted(_outer_unique(els, els))
 
@@ -410,6 +426,7 @@ def diffset(a: IntegerSet) -> IntegerSet:
         for start, end in a._runs():
             acc |= _smear(bits, end - start + 1) << (top - end)
         return IntegerSet._from_bits(acc, a.min - top)
+    _check_pair_budget(a, "diffset")
     els = a.elements
     return IntegerSet._from_sorted(_outer_unique(els, els, subtract=True))
 

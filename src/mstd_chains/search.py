@@ -12,13 +12,17 @@ seeds depend only on the request, never on the worker count, and results
 merge associatively: reports are identical no matter how the work was
 partitioned.
 
-Every scan classifies its sets in batches with one word-level kernel,
-``_word_counts``: a set inside [0, 32) is one ``uint64`` word, and so are
-its sum and difference words. Only wider sets (sampling with n > 32, or
-a cardinality scan past diameter 31) take the per-set big-integer loop
-``_mask_counts``. Pooled scans share one process pool, started on first
-use, replaced when the worker count changes or a scan fails, and kept
-until the interpreter exits.
+A set inside [0, 32) is one ``uint64`` word, and so are its sum and
+difference words. The exhaustive, cardinality and seed scans build each
+set from one with an element fewer, since (A | {x}) + (A | {x}) =
+(A + A) | (A + x) | {2x}: ``_grow`` extends the words of a whole batch
+by one position with a few in-place word operations. Random samples share
+no such prefix, so sampling classifies each batch from scratch with
+``_word_counts``. Only wider sets (sampling with n > 32, or a cardinality
+scan past diameter 31) take the per-set big-integer loop ``_mask_counts``.
+Pooled scans share one process pool, started on first use, replaced when
+the worker count changes or a scan fails, and kept until the interpreter
+exits.
 """
 
 from __future__ import annotations
@@ -28,21 +32,25 @@ import math
 import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import reduce
 from itertools import chain, combinations, islice
 from multiprocessing import Pool
-from typing import Iterable, Optional, Sequence
+from operator import or_
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import InvalidParameterError, ResourceLimitError
 from .intset import IntegerSet, SetProfile
 
-_ENUM_CHUNK = 1 << 14
+# interior masks per exhaustive task: several kernel batches, so that a
+# task's work outweighs handing it to a worker
+_ENUM_CHUNK = 1 << 17
 _SAMPLE_CHUNK = 1 << 12
 _WITNESS_CAP = 8
 _ORACLE_CARD_CAP = 10_000
-# sets per kernel call: keeps the kernel's four working words in cache
-_BATCH = 1 << 12
+# most sets one kernel call holds; its five working words take 640 KiB
+_BATCH = 1 << 14
 # widest set the kernel takes: its sum and difference words then need 63 bits
 _WORD_WIDTH = 32
 
@@ -73,7 +81,8 @@ def _mask_counts(bits: int, span: int) -> tuple[int, int]:
 
     ``span`` is the highest set bit. Works by OR-ing shifted Python
     integers, one per element. Scans use it only for sets too wide for
-    ``_word_counts``; tests use it as the referee for that kernel.
+    the word kernels; tests use it as the referee for ``_word_counts``
+    and ``_grow``.
     """
     s = 0
     d = 0
@@ -88,12 +97,13 @@ def _mask_counts(bits: int, span: int) -> tuple[int, int]:
 
 
 def _word_counts(bits: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sum and difference words of a batch of sets inside [0, width).
+    """Sum and difference words of a batch of unrelated sets inside [0, width).
 
     Bit i of ``bits[k]`` stands for element i of set k. In the results,
     bit i of the sum word stands for the sum i, and bit i of the
     difference word for the difference i - (width - 1). Their popcounts
     are |A+A| and |A-A|. With width <= 32 every word fits in 63 bits.
+    Sampling uses it; the enumerating scans use ``_grow``.
     """
     if not 1 <= width <= _WORD_WIDTH:
         raise InvalidParameterError(f"_word_counts: width must be in [1, {_WORD_WIDTH}]")
@@ -116,6 +126,100 @@ def _word_counts(bits: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     return sums, diffs
 
 
+def _subsets_up_to(m: int, limit: int) -> int:
+    """How many subsets of an m-element set have at most ``limit`` elements."""
+    return sum(math.comb(m, i) for i in range(limit + 1))
+
+
+def _grow(base: int, positions: Sequence[int], max_size: Optional[int] = None
+          ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Words of every set ``base | T``, T a subset of ``positions``, in batches.
+
+    Yields (bits, sums, pdiffs) batches of at most ``_BATCH`` sets, and only
+    sets with |T| <= ``max_size`` when it is given. Across the batches, set
+    i is the binary counter i over ``positions`` (bit k of i stands for
+    ``positions[k]``), in increasing i. Bit i of a sum word stands for the
+    sum i and bit i of a ``pdiffs`` word for the difference i >= 0, so
+    |A+A| is the popcount of ``sums`` and |A-A| is twice that of ``pdiffs``
+    minus one. Elements lie in [0, 32) and no position is in ``base``.
+    Every batch is a view of one buffer, overwritten by the next batch.
+    """
+    batches = list(_split(base, positions, max_size))
+    most = max((_subsets_up_to(len(p), j) for _, p, j in batches), default=0)
+    words = np.empty((4, most), dtype=np.uint64)
+    for batch in batches:
+        yield _grow_batch(*batch, words)
+
+
+def _split(base: int, positions: Sequence[int], max_size: Optional[int]
+           ) -> Iterator[tuple[int, Sequence[int], int]]:
+    """(base, positions, limit) requests of at most ``_BATCH`` sets, in counter order.
+
+    A larger request splits on its top position: the sets without it come
+    first, then those with it.
+    """
+    m = len(positions)
+    limit = m if max_size is None else min(max_size, m)
+    if limit < 0:
+        return
+    if _subsets_up_to(m, limit) <= _BATCH:
+        yield base, positions, limit
+        return
+    yield from _split(base, positions[:-1], max_size)
+    yield from _split(base | 1 << positions[-1], positions[:-1],
+                      None if max_size is None else max_size - 1)
+
+
+def _grow_batch(base: int, positions: Sequence[int], limit: int, words: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One ``_grow`` batch: the sets base | T with |T| <= limit, level by level.
+
+    Level k appends, for each set so far with room to grow, the set with
+    x = ``positions[k]`` added. From (A | {x}) + (A | {x}) = (A + A) | (A + x)
+    | {2x}, its words cost eight word operations in five ufunc calls: the
+    rows of ``words`` hold each set's bits, its bits reversed (so that the
+    differences x - a come from one shift), its sums and its nonnegative
+    differences, and pairs of rows are updated together.
+    """
+    m = len(positions)
+    total = _subsets_up_to(m, limit)
+    w = words[:, :total]
+    # |T| per set, kept only when some sets stop growing
+    size = np.zeros(total, dtype=np.uint8) if limit < m else None
+    elements = _elements(base)
+    w[:, 0] = (base, sum(1 << (_WORD_WIDTH - 1 - a) for a in elements),
+               reduce(or_, (base << a for a in elements), 0),
+               reduce(or_, (base >> a for a in elements), 0))
+    # per level, the column (x, 31 - x) and the matching bits
+    shifts = np.array([positions, [_WORD_WIDTH - 1 - x for x in positions]], dtype=np.uint64)
+    marks = np.left_shift(np.uint64(1), shifts)
+    n = 1
+    for level in range(m):
+        src = slice(0, n) if level < limit else np.flatnonzero(size[:n] < limit)
+        new = slice(n, n + (n if level < limit else src.size))
+        shift = shifts[:, level:level + 1]
+        np.bitwise_or(w[:2, src], marks[:, level:level + 1], out=w[:2, new])
+        # scratch: sums row <- a - x for a >= x, differences row <- x - a for a <= x
+        np.right_shift(w[:2, new], shift, out=w[2:, new])
+        np.bitwise_or(w[3, new], w[2, new], out=w[3, new])
+        np.left_shift(w[0, new], shift[0], out=w[2, new])  # a + x
+        np.bitwise_or(w[2:, src], w[2:, new], out=w[2:, new])
+        if size is not None:
+            np.add(size[src], 1, out=size[new])
+        n = new.stop
+    return w[0], w[2], w[3]
+
+
+def _grow_tally(sums: np.ndarray, pdiffs: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """The MSTD mask of a ``_grow`` batch, with its MSTD and MDTS counts."""
+    sums_1 = np.bitwise_count(sums)
+    sums_1 += 1  # |A+A| + 1
+    diffs_1 = np.bitwise_count(pdiffs)
+    diffs_1 <<= 1  # |A-A| + 1
+    hits = sums_1 > diffs_1
+    return hits, int(np.count_nonzero(hits)), int(np.count_nonzero(sums_1 < diffs_1))
+
+
 def _classify(bits: np.ndarray | Sequence[int], width: int) -> np.ndarray:
     """Sign of |A+A| - |A-A| for each set of a batch inside [0, width).
 
@@ -133,6 +237,31 @@ def _classify(bits: np.ndarray | Sequence[int], width: int) -> np.ndarray:
 def _elements(bits: int, offset: int = 0) -> tuple[int, ...]:
     """The set encoded by ``bits``, each element shifted by ``offset``."""
     return tuple(i + offset for i in range(bits.bit_length()) if (bits >> i) & 1)
+
+
+def _grown_chunk(batches: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]],
+                 key) -> tuple[int, int, int, int, list[tuple]]:
+    """(examined, mstd, mdts, balanced, witnesses) of a chunk's ``_grow`` batches.
+
+    A witness is ``key(elements)``. Keys of one chunk order by cardinality
+    first, so only the MSTD sets of the smallest cardinalities are turned
+    into element tuples.
+    """
+    total = mstd = mdts = 0
+    witnesses: list[tuple] = []
+    for bits, sums, pdiffs in batches:
+        hits, more, fewer = _grow_tally(sums, pdiffs)
+        total += bits.size
+        mstd += more
+        mdts += fewer
+        if more:
+            found = bits[hits]
+            cards = np.bitwise_count(found)
+            k = min(_WITNESS_CAP, more) - 1
+            cut = np.partition(cards, k)[k]
+            witnesses += (key(_elements(b)) for b in found[cards <= cut].tolist())
+            witnesses = sorted(witnesses)[:_WITNESS_CAP]
+    return total, mstd, mdts, total - mstd - mdts, witnesses
 
 
 @dataclass(frozen=True)
@@ -242,28 +371,14 @@ def _scan(worker, tasks: Sequence, workers: int, domain: str, **extra) -> Search
 # ---------------------------------------------------------------------------
 
 def _enum_chunk(task: tuple[int, int, int]) -> tuple[int, int, int, int, list[tuple]]:
-    """Classify interior masks [lo, hi) at diameter d."""
+    """Classify interior masks [lo, hi) at diameter d.
+
+    hi - lo is a power of two and lo a multiple of it, so the chunk is the
+    high interior bits of lo with every subset of the low log2(hi - lo).
+    """
     d, lo, hi = task
-    counts = np.zeros(3, dtype=np.int64)  # MDTS, balanced, MSTD
-    witnesses: list[tuple] = []
-    endpoints = np.uint64(1 | (1 << d) if d >= 1 else 1)
-    for start in range(lo, hi, _BATCH):
-        bits = np.arange(start, min(start + _BATCH, hi), dtype=np.uint64)
-        np.left_shift(bits, np.uint64(1), out=bits)
-        np.bitwise_or(bits, endpoints, out=bits)
-        signs = _classify(bits, d + 1)
-        counts += np.bincount(signs + 1, minlength=3)
-        hits = bits[signs > 0]
-        if hits.size:
-            # witnesses order by cardinality first: only the smallest can enter
-            cards = np.bitwise_count(hits)
-            k = min(_WITNESS_CAP, hits.size) - 1
-            cut = np.partition(cards, k)[k]
-            for b in hits[cards <= cut].tolist():
-                elements = _elements(b)
-                witnesses.append((d, len(elements), elements))
-    mdts, bal, mstd = (int(c) for c in counts)
-    return hi - lo, mstd, mdts, bal, sorted(witnesses)[:_WITNESS_CAP]
+    low = range(1, (hi - lo).bit_length())
+    return _grown_chunk(_grow((lo << 1) | 1 | (1 << d), low), lambda e: (d, len(e), e))
 
 
 def exhaustive_by_diameter(d_max: int, workers: int = 1) -> SearchReport:
@@ -277,7 +392,8 @@ def exhaustive_by_diameter(d_max: int, workers: int = 1) -> SearchReport:
     if d_max > 26:
         raise ResourceLimitError("exhaustive_by_diameter: d_max capped at 26")
     tasks: list[tuple[int, int, int]] = []
-    for d in range(d_max + 1):
+    # largest diameters first, so that no big task is left for one worker at the end
+    for d in range(d_max, -1, -1):
         interior = 1 << max(d - 1, 0)
         for lo in range(0, interior, _ENUM_CHUNK):
             tasks.append((d, lo, min(lo + _ENUM_CHUNK, interior)))
@@ -290,29 +406,39 @@ def exhaustive_by_diameter(d_max: int, workers: int = 1) -> SearchReport:
 # ---------------------------------------------------------------------------
 
 def _card_chunk(task: tuple[int, int]) -> tuple[int, int, int, int, list[tuple]]:
-    """Classify all sets {0, d} + (j interior elements)."""
-    d, j = task
-    counts = np.zeros(3, dtype=np.int64)  # MDTS, balanced, MSTD
+    """Classify all sets {0, d} + (at most j_max interior elements)."""
+    d, j_max = task
+    endpoints = 1 | (1 << d)
+    if d < _WORD_WIDTH:
+        return _grown_chunk(_grow(endpoints, range(1, d), j_max), lambda e: (len(e), d, e))
+    total = mstd = mdts = 0
     witnesses: list[tuple] = []
-    endpoints = 1 | (1 << d) if d >= 1 else 1
-    combos = combinations(range(1, d), j)
-    while batch := list(islice(combos, _BATCH)):
-        if d < _WORD_WIDTH:
-            interior = np.fromiter(chain.from_iterable(batch), dtype=np.uint64,
-                                   count=len(batch) * j).reshape(len(batch), j)
-            np.left_shift(np.uint64(1), interior, out=interior)
-            bits = np.bitwise_or.reduce(interior, axis=1, initial=np.uint64(endpoints))
-        else:
-            bits = [endpoints | sum(1 << c for c in combo) for combo in batch]
-        signs = _classify(bits, d + 1)
-        counts += np.bincount(signs + 1, minlength=3)
-        # combinations come in lexicographic order and every set here has
-        # the same size and diameter, so the first hits are the smallest
-        for i in np.flatnonzero(signs > 0)[:_WITNESS_CAP - len(witnesses)].tolist():
-            elements = (0, *batch[i], d) if d >= 1 else (0,)
-            witnesses.append((len(elements), d, elements))
-    mdts, bal, mstd = (int(c) for c in counts)
-    return mdts + bal + mstd, mstd, mdts, bal, witnesses
+    for j in range(j_max + 1):
+        combos = combinations(range(1, d), j)
+        while batch := list(islice(combos, _BATCH)):
+            signs = _classify([endpoints | sum(1 << c for c in combo) for combo in batch], d + 1)
+            total += len(batch)
+            mstd += int(np.count_nonzero(signs > 0))
+            mdts += int(np.count_nonzero(signs < 0))
+            # sizes come in increasing order and each size's combinations in
+            # lexicographic order, so the first hits are the smallest
+            for i in np.flatnonzero(signs > 0)[:_WITNESS_CAP - len(witnesses)].tolist():
+                witnesses.append((j + 2, d, (0, *batch[i], d)))
+    return total, mstd, mdts, total - mstd - mdts, witnesses
+
+
+def _card_tasks(d_max: int, card_max: int) -> Iterator[tuple[int, int]]:
+    """One (d, j_max) task per diameter: {0, d} and up to j_max interior elements."""
+    yield 0, 0
+    if card_max >= 2:
+        for d in range(1, d_max + 1):
+            yield d, min(card_max - 2, d - 1)
+
+
+def _card_task_size(task: tuple[int, int]) -> int:
+    """How many sets a ``_card_chunk`` task classifies."""
+    d, j_max = task
+    return _subsets_up_to(max(d - 1, 0), j_max)
 
 
 def min_cardinality_scan(d_max: int, card_max: int, workers: int = 1) -> SearchReport:
@@ -323,26 +449,11 @@ def min_cardinality_scan(d_max: int, card_max: int, workers: int = 1) -> SearchR
     """
     if d_max < 0 or card_max < 1:
         raise InvalidParameterError("min_cardinality_scan: d_max >= 0 and card_max >= 1")
-    budget = sum(
-        math.comb(max(d - 1, 0), j)
-        for d in range(d_max + 1)
-        for j in range(0, max(card_max - 2, 0) + 1)
-        if j <= max(d - 1, 0) and (2 + j if d >= 1 else 1) <= card_max
-    )
+    budget = sum(map(_card_task_size, _card_tasks(d_max, card_max)))
     if budget > 100_000_000:
         raise ResourceLimitError(f"min_cardinality_scan: {budget} sets exceeds budget")
-    tasks = []
-    for d in range(d_max + 1):
-        if d == 0:
-            if card_max >= 1:
-                tasks.append((0, 0))
-            continue
-        if card_max < 2:
-            continue
-        for j in range(0, min(card_max - 2, d - 1) + 1):
-            tasks.append((d, j))
     # largest first, so that no big task is left for one worker at the end
-    tasks.sort(key=lambda t: math.comb(max(t[0] - 1, 0), t[1]), reverse=True)
+    tasks = sorted(_card_tasks(d_max, card_max), key=_card_task_size, reverse=True)
     return _scan(_card_chunk, tasks, workers,
                  f"subsets of [0,d] containing 0 and d, 0 <= d <= {d_max}, "
                  f"cardinality <= {card_max}")
@@ -369,7 +480,7 @@ def _sample_chunk(task: tuple[int, int, int, int]) -> tuple[int, int, int, int, 
         bits = words.view("<u8").ravel()
     else:
         bits = [int.from_bytes(row.tobytes(), "little") for row in packed]
-    signs = _classify(bits, n)  # count <= _SAMPLE_CHUNK == _BATCH
+    signs = _classify(bits, n)  # count <= _SAMPLE_CHUNK <= _BATCH
     mdts, bal, mstd = (int(c) for c in np.bincount(signs + 1, minlength=3))
     witnesses = [(chunk_index, row_index, _elements(int(bits[row_index]), 1))
                  for row_index in np.flatnonzero(signs > 0)[:_WITNESS_CAP].tolist()]
@@ -423,23 +534,14 @@ def find_fill2_seeds(n: int) -> list[tuple[IntegerSet, IntegerSet]]:
     if n == 1:
         return []  # 1 and 2n = 2 forced in, n = 1 forced out: contradiction
     # bit i stands for the value i + 1
-    free = [v for v in range(2, 2 * n) if v != n]
-    forced = np.uint64(1 | (1 << (2 * n - 1)))
-    span = 2 * n - 1
-    sum_lo, sum_hi = (n + 2) - 2, 3 * n - 2          # values n+2 .. 3n
-    diff_lo, diff_hi = span - (n - 1), span + (n - 1)  # values -(n-1) .. n-1
-    sum_mask = np.uint64(((1 << (sum_hi - sum_lo + 1)) - 1) << sum_lo)
-    diff_mask = np.uint64(((1 << (diff_hi - diff_lo + 1)) - 1) << diff_lo)
+    free = [v - 1 for v in range(2, 2 * n) if v != n]
+    sum_mask = np.uint64(((1 << (2 * n - 1)) - 1) << n)  # values n+2 .. 3n
+    diff_mask = np.uint64((1 << n) - 1)                  # values 0 .. n-1
     found: list[tuple[IntegerSet, IntegerSet]] = []
-    total = 1 << len(free)
-    for start in range(0, total, _BATCH):
-        masks = np.arange(start, min(start + _BATCH, total), dtype=np.uint64)
-        bits = np.full_like(masks, forced)
-        for k, v in enumerate(free):
-            bits |= ((masks >> np.uint64(k)) & np.uint64(1)) << np.uint64(v - 1)
-        s, d = _word_counts(bits, 2 * n)
-        keep = ((np.bitwise_count(s) > np.bitwise_count(d))
-                & ((s & sum_mask) == sum_mask) & ((d & diff_mask) == diff_mask))
+    for bits, sums, pdiffs in _grow(1 | (1 << (2 * n - 1)), free):
+        hits = np.flatnonzero(_grow_tally(sums, pdiffs)[0])
+        sums, pdiffs = sums[hits], pdiffs[hits]
+        keep = hits[((sums & sum_mask) == sum_mask) & ((pdiffs & diff_mask) == diff_mask)]
         for b in bits[keep].tolist():
             elements = _elements(b, 1)
             found.append((

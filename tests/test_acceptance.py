@@ -166,7 +166,7 @@ def test_criterion_7_nonfill_identities_to_50():
         assert failures == []
 
 
-_SCALING_D = 24
+_SCALING_D = 25
 
 
 def _run_full_enumeration() -> None:

@@ -86,6 +86,15 @@ def test_chain_thm31_bad_conditions(capsys):
     assert "conditions" in err
 
 
+def test_chain_thm31_too_wide_is_refused(capsys):
+    # the filled interval [n, m] alone would be 10**8 elements
+    code, _, err = run(capsys, "chain", "--method", "thm31",
+                       "--L", "0,1,2,5,8", "--R", "0,1,3,4,8",
+                       "--n", "8", "--m", "100000000", "--steps", "7")
+    assert code == 2
+    assert "interval of more than" in err
+
+
 # ---------------------------------------------------------------------------
 # verify / table round trips
 # ---------------------------------------------------------------------------

@@ -268,6 +268,30 @@ def test_dedup_and_ordering():
     assert len(a) == 3
 
 
+def test_wide_fallback_refuses_before_allocating(monkeypatch):
+    import time
+
+    from mstd_chains import ResourceLimitError, intset
+    from mstd_chains.intset import DENSE_DIAMETER_LIMIT
+
+    # 20,001 elements, and one far element sends the set to the fallback
+    wide = IntegerSet(list(range(20_000)) + [10 ** 12])
+    start = time.perf_counter()
+    for op in (sumset, diffset, profile):
+        with pytest.raises(ResourceLimitError):
+            op(wide)
+    with pytest.raises(ResourceLimitError):
+        IntegerSet.interval(0, DENSE_DIAMETER_LIMIT + 1)
+    assert time.perf_counter() - start < 1.0
+    # the budget counts pairs: a set right at it still runs
+    monkeypatch.setattr(intset, "_WIDE_PAIR_LIMIT", 100)
+    edge = IntegerSet(list(range(9)) + [10 ** 12])
+    assert set(sumset(edge)) == naive_sums(edge)
+    assert set(diffset(edge)) == naive_diffs(edge)
+    with pytest.raises(ResourceLimitError):
+        sumset(IntegerSet(list(range(10)) + [10 ** 12]))
+
+
 def test_dense_sparse_boundary_agreement():
     from mstd_chains.intset import DENSE_DIAMETER_LIMIT
 

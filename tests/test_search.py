@@ -9,7 +9,7 @@ from mstd_chains import (Classification, IntegerSet, InvalidParameterError,
                          fill2_chain, find_fill2_seeds, min_cardinality_scan,
                          oracle_profile, profile, sample_mstd_proportion,
                          search, wilson_interval)
-from mstd_chains.search import (_BATCH, _card_chunk, _enum_chunk, _mask_counts,
+from mstd_chains.search import (_BATCH, _card_chunk, _enum_chunk, _grow, _mask_counts,
                                 _sample_chunk, _word_counts, _worker_count)
 
 from .conftest import CONWAY, FILL2_L, FILL2_R, REPO
@@ -287,16 +287,108 @@ def test_enum_chunk_matches_per_mask_recount(task):
 def test_card_chunk_spans_batches_and_matches_recount(task):
     from itertools import combinations
 
-    d, j = task
+    d, j_max = task
     signs, witnesses = [], []
-    for combo in combinations(range(1, d), j):
-        signs.append(_referee_sign(1 | (1 << d) | sum(1 << c for c in combo)))
-        if signs[-1] > 0:
-            witnesses.append((j + 2, d, (0, *combo, d)))
-    assert len(signs) > 2 * _BATCH
+    for j in range(j_max + 1):
+        for combo in combinations(range(1, d), j):
+            signs.append(_referee_sign(1 | (1 << d) | sum(1 << c for c in combo)))
+            if signs[-1] > 0:
+                witnesses.append((j + 2, d, (0, *combo, d)))
+    assert len(signs) > _BATCH
     expected = (len(signs), signs.count(1), signs.count(-1), signs.count(0),
                 sorted(witnesses)[:8])
     assert _card_chunk(task) == expected
+
+
+# ---------------------------------------------------------------------------
+# the incremental kernel
+# ---------------------------------------------------------------------------
+
+def _grown(base, positions, max_size=None):
+    """Every set ``_grow`` yields, as (bits, |A+A|, |A-A|) in yield order."""
+    out = []
+    for bits, sums, pdiffs in _grow(base, positions, max_size):
+        assert bits.size == sums.size == pdiffs.size <= _BATCH
+        out += zip(bits.tolist(), np.bitwise_count(sums).tolist(),
+                   (2 * np.bitwise_count(pdiffs).astype(int) - 1).tolist())
+    return out
+
+
+def _counter_order(base, positions, max_size=None):
+    """base | T for the binary counter over positions, with its counts."""
+    out = []
+    for i in range(1 << len(positions)):
+        if max_size is not None and i.bit_count() > max_size:
+            continue
+        bits = base | sum(1 << p for k, p in enumerate(positions) if (i >> k) & 1)
+        out.append((bits, *_mask_counts(bits, bits.bit_length() - 1)))
+    return out
+
+
+def test_grow_matches_referee_on_every_small_set():
+    for d in range(13):
+        # the empty set has no differences, so start from the set {0}
+        assert _grown(1, range(1, d + 1)) == _counter_order(1, range(1, d + 1))
+        # an element in the middle, free positions on both sides of it
+        mid = d // 2
+        free = [p for p in range(d + 1) if p != mid]
+        assert _grown(1 << mid, free) == _counter_order(1 << mid, free)
+    # sets without 0: positions above and below a two-element base
+    free = [0, 1, 2, 4, 6, 7, 9, 10, 11]
+    assert _grown(1 << 3 | 1 << 8, free) == _counter_order(1 << 3 | 1 << 8, free)
+
+
+def test_grow_max_size_keeps_counter_order():
+    d = 12
+    base = 1 | 1 << 5 | 1 << d
+    free = [p for p in range(d + 1) if not (base >> p) & 1]
+    for max_size in range(d + 1):
+        assert _grown(base, free, max_size) == _counter_order(base, free, max_size)
+    assert _grown(base, free, -1) == []
+
+
+def test_grow_at_full_width_does_not_overflow():
+    # 31 as a base element and as a grown position, every word at its widest
+    free = list(range(1, 31, 2)) + [31]
+    assert _grown(1, free, 3) == _counter_order(1, free, 3)
+    free = [0, 30, 29, 1]
+    assert _grown(1 << 31, free) == _counter_order(1 << 31, free)
+
+
+def test_grow_split_matches_unsplit(monkeypatch):
+    base, free = 1 | 1 << 17, list(range(1, 17))
+    whole = _grown(base, free)
+    limited = _grown(base, free, 6)
+    chunks = {task: _enum_chunk(task) for task in [(17, 0, 1 << 14), (17, 1 << 14, 1 << 15)]}
+    cards = {task: _card_chunk(task) for task in [(20, 5), (31, 3), (18, 8)]}
+    seeds = find_fill2_seeds(9)
+    monkeypatch.setattr(search, "_BATCH", 1 << 5)
+    assert _grown(base, free) == whole
+    assert _grown(base, free, 6) == limited
+    for task, expected in chunks.items():
+        assert _enum_chunk(task) == expected
+    for task, expected in cards.items():
+        assert _card_chunk(task) == expected
+    assert find_fill2_seeds(9) == seeds
+
+
+def test_no_kernel_call_holds_more_than_the_cap(monkeypatch):
+    sizes = []
+    batch = search._grow_batch
+
+    def recording(*args):
+        out = batch(*args)
+        sizes.append(out[0].size)
+        return out
+
+    monkeypatch.setattr(search, "_grow_batch", recording)
+    total = exhaustive_by_diameter(21).total_examined
+    total += min_cardinality_scan(31, 6).total_examined
+    total += sum(min_cardinality_scan(d, d + 1).total_examined for d in (19, 20))
+    find_fill2_seeds(12)
+    total += 1 << 21
+    assert max(sizes) == _BATCH
+    assert sum(sizes) == total
 
 
 def test_pinned_landscape_counts():
