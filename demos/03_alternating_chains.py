@@ -6,6 +6,7 @@ the previous set before appending fringe; two never touch the interior, so
 every gap stays a gap forever.
 """
 
+from dataclasses import replace
 from itertools import islice
 
 from mstd_chains import (CONWAY_SET, IntegerSet, emit_table, fill1_chain,
@@ -38,11 +39,12 @@ for a, _params in islice(iter_nonfill_chain(), 12):
     previous = a
 print()
 
-# Verification re-derives everything from scratch.
+# Verification re-derives everything from scratch. A non-filling-in chain
+# carries the gap check in its record; a fill-in chain skips it.
 print("non-fill chain verification:")
-print(verify_chain(nf, no_fill_in=True))
+print(verify_chain(nf))
 print()
 
 print("fill-in chains do fill gaps; forcing the gap check exposes that:")
-report = verify_chain(record, no_fill_in=True)
+report = verify_chain(replace(record, no_fill_in_required=True))
 print(report)

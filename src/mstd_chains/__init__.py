@@ -8,11 +8,11 @@ between the two classes, and brute-forces desk-scale facts about the MSTD
 landscape with an independent oracle.
 """
 
-from .chains import (ChainRecord, ChainStep, MethodConfig, METHOD_TAGS,
-                     VerificationReport, chain_from_json, chain_to_json,
-                     fill1_chain, fill2_chain, iter_fill1_chain,
-                     iter_fill2_chain, iter_nonfill_chain, iter_thm31_chain,
-                     nonfill_chain, thm31_chain, verify_chain)
+from .chains import (ChainRecord, ChainStep, METHOD_TAGS, VerificationReport,
+                     chain_from_json, chain_to_json, fill1_chain, fill2_chain,
+                     iter_fill1_chain, iter_fill2_chain, iter_nonfill_chain,
+                     iter_thm31_chain, nonfill_chain, thm31_chain,
+                     verify_chain)
 from .constructions import (ConditionReport, MultiDimAP, NathansonParams,
                             check_thm31_conditions, from_config,
                             interval_minus_point, mdts_interval_plus_point,

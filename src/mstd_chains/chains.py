@@ -9,7 +9,11 @@ whose difference-dominated steps are found by search).
 Each method has a lazy iterator yielding steps on demand plus a
 convenience wrapper that materializes a :class:`ChainRecord` with profiles
 and per-step parameters. :func:`verify_chain` re-derives everything from
-scratch and reports each check with witnesses.
+scratch and reports each check with witnesses. The two chain rules, proper
+nesting and strict MSTD/MDTS alternation, are written once: the wrappers
+raise on the first witness of a broken rule, and verification lists them
+all. Whether gaps must stay gaps is carried by the record itself
+(``ChainRecord.no_fill_in_required``).
 """
 
 from __future__ import annotations
@@ -17,15 +21,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
-from .constructions import (MultiDimAP, NathansonParams, interval_minus_point,
-                            mdts_interval_plus_point, nathanson_mstd,
-                            nonfill_explicit_mdts, nonfill_explicit_mstd,
-                            thm31_base)
+from .constructions import (MultiDimAP, NathansonParams, _check_fringe_seed,
+                            interval_minus_point, mdts_interval_plus_point,
+                            nathanson_mstd, nonfill_explicit_mdts,
+                            nonfill_explicit_mstd, thm31_base)
 from .errors import ChainBreakError, InvalidParameterError
 from .intset import (Classification, IntegerSet, SetProfile, affine, classify,
-                     is_pn, profile)
+                     profile)
 from .rounding import round3_float
 
 METHOD_TAGS = ("fill1", "fill2", "nonfill", "thm31")
@@ -146,25 +150,35 @@ def chain_from_json(text: str, no_fill_in_required: bool = False) -> ChainRecord
 # chain generators
 # ---------------------------------------------------------------------------
 
+def _rule_witnesses(steps: Sequence[ChainStep], profiles: Sequence[SetProfile]
+                    ) -> tuple[list[str], list[str]]:
+    """Witnesses against proper nesting and against strict alternation.
+
+    Classifications are read from ``profiles``, one per step. No step may
+    be balanced, and no step may share its predecessor's classification.
+    """
+    nesting = [f"step {b.index} does not properly contain step {a.index}"
+               for a, b in zip(steps, steps[1:]) if not a.set.ispropersubset(b.set)]
+    kinds = [p.classification for p in profiles]
+    alternation = []
+    for i, (step, kind) in enumerate(zip(steps, kinds)):
+        if kind == Classification.BALANCED:
+            alternation.append(f"step {step.index} is balanced")
+        elif i and kind == kinds[i - 1]:
+            alternation.append(f"step {step.index} classifies {kind.value} after {kind.value}")
+    return nesting, alternation
+
+
 def _assemble(method: str, stream: Iterator[tuple[IntegerSet, dict]],
               num_steps: int, no_fill_in_required: bool) -> ChainRecord:
     if num_steps < 1:
         raise InvalidParameterError("chain: num_steps must be >= 1")
-    steps: list[ChainStep] = []
-    for index in range(1, num_steps + 1):
-        current, params = next(stream)
-        prof = profile(current)
-        if steps:
-            # the generators are theorem-backed; a violation here is a bug
-            prev = steps[-1]
-            if not prev.set.ispropersubset(current):
-                raise AssertionError(f"{method}: step {index} does not properly "
-                                     f"contain step {prev.index}")
-            if prof.classification in (Classification.BALANCED, prev.profile.classification):
-                raise AssertionError(f"{method}: step {index} classifies "
-                                     f"{prof.classification.value} after "
-                                     f"{prev.profile.classification.value}")
-        steps.append(ChainStep(index=index, set=current, profile=prof, params=params))
+    steps = [ChainStep(index=index, set=current, profile=profile(current), params=params)
+             for index, (current, params) in zip(range(1, num_steps + 1), stream)]
+    nesting, alternation = _rule_witnesses(steps, [s.profile for s in steps])
+    if nesting or alternation:
+        # the generators are theorem-backed; a violation here is a bug
+        raise AssertionError(f"{method}: {(nesting + alternation)[0]}")
     return ChainRecord(method=method, steps=tuple(steps),
                        no_fill_in_required=no_fill_in_required)
 
@@ -202,28 +216,6 @@ def fill1_chain(seed: IntegerSet, num_steps: int) -> ChainRecord:
                      no_fill_in_required=False)
 
 
-def _validate_fill2_seed(L: IntegerSet, R: IntegerSet, n: int) -> IntegerSet:
-    if n < 1:
-        raise InvalidParameterError("fill2_chain: n must be >= 1")
-    if L.is_empty or L.min < 1 or L.max > n:
-        raise InvalidParameterError("fill2_chain: L must be a nonempty subset of [1, n]")
-    if R.is_empty or R.min < n + 1 or R.max > 2 * n:
-        raise InvalidParameterError("fill2_chain: R must be a nonempty subset of [n+1, 2n]")
-    seed = L.union(R)
-    if 1 not in seed:
-        raise InvalidParameterError("fill2_chain: 1 must be an element of L | R")
-    if 2 * n not in seed:
-        raise InvalidParameterError("fill2_chain: 2n must be an element of L | R")
-    if n in seed:
-        raise InvalidParameterError("fill2_chain: n must not be an element of L | R")
-    if not is_pn(seed, n):
-        raise InvalidParameterError("fill2_chain: L | R must have complete hulls "
-                                    "except within n of each extreme")
-    if classify(seed) != Classification.MSTD:
-        raise InvalidParameterError("fill2_chain: L | R must be MSTD")
-    return seed
-
-
 def iter_fill2_chain(L: IntegerSet, R: IntegerSet, n: int
                      ) -> Iterator[tuple[IntegerSet, dict]]:
     """Endless fill-in chain with linear growth.
@@ -231,9 +223,12 @@ def iter_fill2_chain(L: IntegerSet, R: IntegerSet, n: int
     After the seed, step 2l is the filled interval [(1-l)n, (l+1)n] minus
     {n} plus the point (l+2)n, and step 2l+1 re-attaches the shifted
     fringes L - ln - 1 and R + ln. Past the second step every diameter
-    grows by exactly n.
+    grows by exactly n. The seed L | R must meet the hypotheses of
+    ``miller_mstd`` and must not contain n, the hole of every filled step.
     """
-    seed = _validate_fill2_seed(L, R, n)
+    if n in L or n in R:
+        raise InvalidParameterError("fill2_chain: n must not be an element of L | R")
+    seed = _check_fringe_seed(L, R, n, "fill2_chain")
     yield seed, {"n": n}
     l = 1
     while True:
@@ -294,17 +289,14 @@ def iter_thm31_chain(L: IntegerSet, R: IntegerSet, n: int, m: int,
     current = thm31_base(L, R, n, m, mode)
     yield current, {"n": n, "m": m, "mode": mode}
     k = 1
-    emitted = 1
     while True:
         appended = affine(R, -1, m + (k + 1) * n)
         nxt = current.union(appended)
         even = _mdts_interposer(current, nxt)
         if even is None:
-            raise ChainBreakError(emitted + 1)
+            raise ChainBreakError(2 * k)  # the even step of round k
         yield even, {"k": k, "added": even.difference(current).to_text()}
-        emitted += 1
         yield nxt, {"k": k, "appended": appended.to_text()}
-        emitted += 1
         current = nxt
         k += 1
 
@@ -313,38 +305,6 @@ def thm31_chain(L: IntegerSet, R: IntegerSet, n: int, m: int,
                 num_steps: int, mode: str = "strict") -> ChainRecord:
     return _assemble("thm31", iter_thm31_chain(L, R, n, m, mode), num_steps,
                      no_fill_in_required=True)
-
-
-@dataclass(frozen=True)
-class MethodConfig:
-    """Parameter bundle naming a chain method and its inputs."""
-
-    method: str
-    seed: Optional[IntegerSet] = None
-    L: Optional[IntegerSet] = None
-    R: Optional[IntegerSet] = None
-    n: Optional[int] = None
-    m: Optional[int] = None
-    mode: str = "strict"
-
-    def build(self, num_steps: int) -> ChainRecord:
-        if self.method == "fill1":
-            if self.seed is None:
-                raise InvalidParameterError("fill1 needs a seed set")
-            return fill1_chain(self.seed, num_steps)
-        if self.method == "fill2":
-            if self.L is None or self.R is None or self.n is None:
-                raise InvalidParameterError("fill2 needs L, R and n")
-            return fill2_chain(self.L, self.R, self.n, num_steps)
-        if self.method == "nonfill":
-            return nonfill_chain(num_steps)
-        if self.method == "thm31":
-            if self.L is None or self.R is None or self.n is None or self.m is None:
-                raise InvalidParameterError("thm31 needs L, R, n and m")
-            return thm31_chain(self.L, self.R, self.n, self.m, num_steps, self.mode)
-        raise InvalidParameterError(
-            f"unknown method {self.method!r}; expected one of {METHOD_TAGS}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -360,10 +320,7 @@ class CheckResult:
 
     def describe(self) -> str:
         state = "SKIPPED" if self.skipped else ("PASS" if self.passed else "FAIL")
-        line = f"{self.name}: {state}"
-        for w in self.witnesses:
-            line += f"\n    {w}"
-        return line
+        return "\n    ".join((f"{self.name}: {state}", *self.witnesses))
 
 
 @dataclass(frozen=True)
@@ -393,15 +350,17 @@ class VerificationReport:
 _ORACLE_CARD_LIMIT = 2000
 
 
-def verify_chain(record: ChainRecord, no_fill_in: Optional[bool] = None) -> VerificationReport:
+def verify_chain(record: ChainRecord) -> VerificationReport:
     """Re-derive every profile and re-check the chain's structural claims.
 
     Profiles are recomputed from the raw elements, via the independent
     double-loop oracle up to ``_ORACLE_CARD_LIMIT`` elements and the
     bit-vector engine above it. Checks: stored profiles match, steps nest
-    properly, classifications strictly alternate, and (when required) no
-    gap of any step is ever filled by a later step. Failures land in the
-    report, not in exceptions.
+    properly, classifications strictly alternate, and (when the record
+    requires it) no gap of any step is ever filled by a later step; force
+    that last check with ``dataclasses.replace(record,
+    no_fill_in_required=True)``. Failures land in the report, not in
+    exceptions.
     """
     from .search import oracle_profile  # local import: search builds on chains' peers
 
@@ -415,10 +374,8 @@ def verify_chain(record: ChainRecord, no_fill_in: Optional[bool] = None) -> Veri
             profile_witnesses.append(f"step {step.index}: empty set")
             recomputed.append(step.profile)
             continue
-        if len(step.set) <= _ORACLE_CARD_LIMIT:
-            fresh = oracle_profile(step.set)
-        else:
-            fresh = profile(step.set)
+        small = len(step.set) <= _ORACLE_CARD_LIMIT
+        fresh = oracle_profile(step.set) if small else profile(step.set)
         recomputed.append(fresh)
         if fresh != step.profile:
             profile_witnesses.append(
@@ -431,30 +388,11 @@ def verify_chain(record: ChainRecord, no_fill_in: Optional[bool] = None) -> Veri
     checks = [CheckResult("profiles", not profile_witnesses,
                           witnesses=tuple(profile_witnesses))]
 
-    nest_witnesses = []
-    for prev, cur in zip(record.steps, record.steps[1:]):
-        if not prev.set.ispropersubset(cur.set):
-            nest_witnesses.append(
-                f"step {cur.index} does not properly contain step {prev.index}"
-            )
-    checks.append(CheckResult("nesting", not nest_witnesses,
-                              witnesses=tuple(nest_witnesses)))
+    for name, witnesses in zip(("nesting", "alternation"),
+                               _rule_witnesses(record.steps, recomputed)):
+        checks.append(CheckResult(name, not witnesses, witnesses=tuple(witnesses)))
 
-    alt_witnesses = []
-    for step, fresh in zip(record.steps, recomputed):
-        if fresh.classification == Classification.BALANCED:
-            alt_witnesses.append(f"step {step.index} is balanced")
-    for (a, fa), (b, fb) in zip(zip(record.steps, recomputed),
-                                zip(record.steps[1:], recomputed[1:])):
-        if fa.classification == fb.classification != Classification.BALANCED:
-            alt_witnesses.append(
-                f"steps {a.index} and {b.index} are both {fa.classification.value}"
-            )
-    checks.append(CheckResult("alternation", not alt_witnesses,
-                              witnesses=tuple(alt_witnesses)))
-
-    required = record.no_fill_in_required if no_fill_in is None else no_fill_in
-    if not required:
+    if not record.no_fill_in_required:
         checks.append(CheckResult("no_fill_in", True, skipped=True))
     else:
         gap_witnesses = []

@@ -16,7 +16,8 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .chains import MethodConfig, METHOD_TAGS, chain_from_json, verify_chain
+from .chains import (METHOD_TAGS, chain_from_json, fill1_chain, fill2_chain,
+                     nonfill_chain, thm31_chain, verify_chain)
 from .errors import (ArithmeticRangeError, ChainBreakError,
                      InvalidParameterError, ResourceLimitError)
 from .intset import IntegerSet, profile
@@ -106,12 +107,33 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+# The parameter flags each chain method reads, by argparse destination;
+# --mode is never missing, and counts as given only when it is not "strict".
+_CHAIN_FLAGS = {"fill1": ("seed_set",), "fill2": ("L", "R", "n"), "nonfill": (),
+                "thm31": ("L", "R", "n", "m", "mode")}
+
+
 def _cmd_chain(args, parser: argparse.ArgumentParser) -> int:
     if args.steps < 1:
         parser.error("--steps must be >= 1")
-    config = MethodConfig(method=args.method, seed=args.seed_set, L=args.L,
-                          R=args.R, n=args.n, m=args.m, mode=args.mode)
-    record = config.build(args.steps)
+    reads = _CHAIN_FLAGS[args.method]
+    given = [dest for dest in ("seed_set", "L", "R", "n", "m")
+             if getattr(args, dest) is not None]
+    if args.mode != "strict":
+        given.append("mode")
+    for problem, dests in (("needs", [d for d in reads if d not in given and d != "mode"]),
+                           ("does not read", [d for d in given if d not in reads])):
+        if dests:
+            flags = ", ".join("--" + d.replace("_", "-") for d in dests)
+            parser.error(f"chain --method {args.method} {problem} {flags}")
+    if args.method == "fill1":
+        record = fill1_chain(args.seed_set, args.steps)
+    elif args.method == "fill2":
+        record = fill2_chain(args.L, args.R, args.n, args.steps)
+    elif args.method == "nonfill":
+        record = nonfill_chain(args.steps)
+    else:
+        record = thm31_chain(args.L, args.R, args.n, args.m, args.steps, args.mode)
     print(emit_table(record, args.format), end="")
     if args.verify:
         report = verify_chain(record)

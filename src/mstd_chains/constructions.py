@@ -7,7 +7,9 @@ do not classify as advertised. Postconditions (hull identities, the
 advertised classification) are cheap at the sizes in scope and are always
 verified. Only ``interval_minus_point`` and the two explicit
 non-filling-in steps take ``check=False``, which the chain generators pass:
-they profile every step they emit.
+they profile every step they emit. The fringe-seed hypotheses of
+``miller_mstd`` are checked in one place, which the linear fill-in chain
+shares, since its seeds are the same fringe pairs.
 """
 
 from __future__ import annotations
@@ -171,6 +173,30 @@ def _max_missing_run(middle: IntegerSet, lo: int, hi: int) -> int:
     return max(b - a - 1 for a, b in zip(pts, pts[1:]))
 
 
+def _check_fringe_seed(L: IntegerSet, R: IntegerSet, n: int, who: str) -> IntegerSet:
+    """Return L | R after checking the fringe-seed hypotheses of ``miller_mstd``.
+
+    ``who`` prefixes the message of the first clause that fails.
+    """
+    if n < 1:
+        raise InvalidParameterError(f"{who}: n must be >= 1")
+    if L.is_empty or L.min < 1 or L.max > n:
+        raise InvalidParameterError(f"{who}: L must be a nonempty subset of [1, n]")
+    if R.is_empty or R.min < n + 1 or R.max > 2 * n:
+        raise InvalidParameterError(f"{who}: R must be a nonempty subset of [n+1, 2n]")
+    seed = L.union(R)
+    if 1 not in seed:
+        raise InvalidParameterError(f"{who}: 1 must be an element of L | R")
+    if 2 * n not in seed:
+        raise InvalidParameterError(f"{who}: 2n must be an element of L | R")
+    if not is_pn(seed, n):
+        raise InvalidParameterError(f"{who}: L | R must have complete hulls "
+                                    "except within n of each extreme")
+    if classify(seed) != Classification.MSTD:
+        raise InvalidParameterError(f"{who}: L | R must be MSTD")
+    return seed
+
+
 def miller_mstd(L: IntegerSet, R: IntegerSet, n: int, k: int, m: int,
                 middle: Optional[IntegerSet] = None) -> IntegerSet:
     """Stretch a fringe-complete MSTD set L | R by inserting middle blocks.
@@ -183,22 +209,7 @@ def miller_mstd(L: IntegerSet, R: IntegerSet, n: int, k: int, m: int,
     is again MSTD.
     """
     middle = IntegerSet() if middle is None else middle
-    if n < 1:
-        raise InvalidParameterError("miller_mstd: n must be >= 1")
-    if L.is_empty or R.is_empty:
-        raise InvalidParameterError("miller_mstd: L and R must be nonempty")
-    if not (1 <= L.min and L.max <= n):
-        raise InvalidParameterError("miller_mstd: L must lie inside [1, n]")
-    if not (n + 1 <= R.min and R.max <= 2 * n):
-        raise InvalidParameterError("miller_mstd: R must lie inside [n+1, 2n]")
-    seed = L.union(R)
-    if 1 not in seed or (2 * n) not in seed:
-        raise InvalidParameterError("miller_mstd: 1 and 2n must both be elements")
-    if not is_pn(seed, n):
-        raise InvalidParameterError("miller_mstd: L | R must have complete hulls "
-                                    "except within n of each extreme")
-    if classify(seed) != Classification.MSTD:
-        raise InvalidParameterError("miller_mstd: L | R must be MSTD")
+    _check_fringe_seed(L, R, n, "miller_mstd")
     if k < n:
         raise InvalidParameterError("miller_mstd: k must be >= n")
     if m < 0:

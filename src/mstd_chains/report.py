@@ -17,7 +17,7 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .chains import ChainRecord, chain_to_json
 from .errors import InvalidParameterError
@@ -40,16 +40,9 @@ def table_cells(record: ChainRecord) -> list[tuple[str, ...]]:
     rows = []
     for step, (card_ratio, diam_ratio) in zip(record.steps, record.ratios()):
         p = step.profile
-        rows.append((
-            f"A_{step.index}",
-            str(p.sum_count),
-            str(p.diff_count),
-            str(p.cardinality),
-            str(p.diameter),
-            format3(card_ratio),
-            format3(diam_ratio),
-            format3(p.density),
-        ))
+        rows.append((f"A_{step.index}",
+                     *map(str, (p.sum_count, p.diff_count, p.cardinality, p.diameter)),
+                     *map(format3, (card_ratio, diam_ratio, p.density))))
     return rows
 
 
@@ -91,12 +84,17 @@ def emit_table(record: ChainRecord, fmt: str = "ascii") -> str:
         return buf.getvalue()
     if fmt != "ascii":
         raise InvalidParameterError(f"emit_table: unknown format {fmt!r}")
-    widths = [max(len(col), *(len(r[i]) for r in rows)) for i, col in enumerate(COLUMNS)]
-    out = ["  ".join(col.ljust(w) for col, w in zip(COLUMNS, widths)).rstrip()]
-    out.append("  ".join("-" * w for w in widths))
-    for r in rows:
-        out.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
-    out.extend(_density_footer(record))
+    return _ascii_table(COLUMNS, rows, _density_footer(record))
+
+
+def _ascii_table(header: tuple[str, ...], rows: list[tuple[str, ...]],
+                 footer: Sequence[str] = ()) -> str:
+    """Left-aligned columns two spaces apart, a dashed rule under the header."""
+    widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(header)]
+    out = ["  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip()
+           for r in (header, *rows)]
+    out.insert(1, "  ".join("-" * w for w in widths))
+    out.extend(footer)
     return "\n".join(out) + "\n"
 
 
@@ -140,54 +138,30 @@ def growth_rows(chains: list[ChainRecord]) -> list[MethodGrowth]:
         diams = [p.diameter for p in mstd]
         card_incs = [b - a for a, b in zip(cards, cards[1:])]
         diam_incs = [b - a for a, b in zip(diams, diams[1:])]
-        first = record.steps[0].profile
         if card_incs[-1] == card_incs[-2] and diam_incs[-1] == diam_incs[-2]:
             # additive step settles; the first increment may differ
-            rows.append(MethodGrowth(
-                method=record.method or "?",
-                first_cardinality=first.cardinality,
-                first_diameter=first.diameter,
-                growth_type="Linear",
-                card_rate=card_incs[-1],
-                diam_rate=diam_incs[-1],
-            ))
-            continue
-        card_factors = [Fraction(b, a) for a, b in zip(cards, cards[1:])]
-        diam_factors = [Fraction(b, a) for a, b in zip(diams, diams[1:])]
-        if min(diam_factors) > 1 and min(card_factors) > 1:
-            rows.append(MethodGrowth(
-                method=record.method or "?",
-                first_cardinality=first.cardinality,
-                first_diameter=first.diameter,
-                growth_type="Exponential",
-                min_card_factor=min(card_factors),
-                min_diam_factor=min(diam_factors),
-            ))
+            growth = {"growth_type": "Linear", "card_rate": card_incs[-1],
+                      "diam_rate": diam_incs[-1]}
         else:
-            rows.append(MethodGrowth(
-                method=record.method or "?",
-                first_cardinality=first.cardinality,
-                first_diameter=first.diameter,
-                growth_type="Irregular",
-            ))
+            card_factor = min(Fraction(b, a) for a, b in zip(cards, cards[1:]))
+            diam_factor = min(Fraction(b, a) for a, b in zip(diams, diams[1:]))
+            growth = ({"growth_type": "Exponential", "min_card_factor": card_factor,
+                       "min_diam_factor": diam_factor}
+                      if diam_factor > 1 and card_factor > 1
+                      else {"growth_type": "Irregular"})
+        first = record.steps[0].profile
+        rows.append(MethodGrowth(method=record.method or "?",
+                                 first_cardinality=first.cardinality,
+                                 first_diameter=first.diameter, **growth))
     return rows
 
 
 def emit_growth_summary(chains: list[ChainRecord]) -> str:
     """Tabulate per-method growth between consecutive MSTD steps."""
-    rows = growth_rows(chains)
     header = ("Method", "|A_1|", "A_1 Diam.", "Card. Rate", "Diam. Rate", "Type")
-    cells = []
-    for g in rows:
-        card_rate, diam_rate = g.rate_cells()
-        cells.append((g.method, str(g.first_cardinality), str(g.first_diameter),
-                      card_rate, diam_rate, g.growth_type))
-    widths = [max(len(h), *(len(r[i]) for r in cells)) for i, h in enumerate(header)]
-    out = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-    out.append("  ".join("-" * w for w in widths))
-    for r in cells:
-        out.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
-    return "\n".join(out) + "\n"
+    cells = [(g.method, str(g.first_cardinality), str(g.first_diameter),
+              *g.rate_cells(), g.growth_type) for g in growth_rows(chains)]
+    return _ascii_table(header, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -286,13 +260,15 @@ class TableComparison:
         return "\n".join(lines)
 
 
-def compare_to_golden(record: ChainRecord, method: Optional[str] = None) -> TableComparison:
-    """Compare a chain cell-for-cell against its published reference table.
+def compare_to_golden(record: ChainRecord) -> TableComparison:
+    """Compare a chain cell-for-cell against its method's published table.
 
+    The table is chosen by ``record.method``; a chain loaded from JSON has
+    none, so tag it first with ``dataclasses.replace(record, method=...)``.
     Whitelisted inconsistent cells come back flagged (and only count as
     flagged when the computed value matches the pinned recomputation).
     """
-    method = method or record.method
+    method = record.method
     if method not in GOLDEN_TABLES:
         raise InvalidParameterError(f"compare_to_golden: no reference table for {method!r}")
     golden = GOLDEN_TABLES[method]

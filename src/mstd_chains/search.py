@@ -33,7 +33,7 @@ import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, combinations, islice
+from itertools import accumulate, chain, combinations, islice
 from multiprocessing import Pool
 from operator import or_
 from typing import Iterable, Iterator, Optional, Sequence
@@ -49,6 +49,7 @@ _ENUM_CHUNK = 1 << 17
 _SAMPLE_CHUNK = 1 << 12
 _WITNESS_CAP = 8
 _ORACLE_CARD_CAP = 10_000
+_CARD_BUDGET = 100_000_000  # most sets one cardinality scan classifies
 # most sets one kernel call holds; its five working words take 640 KiB
 _BATCH = 1 << 14
 # widest set the kernel takes: its sum and difference words then need 63 bits
@@ -449,9 +450,12 @@ def min_cardinality_scan(d_max: int, card_max: int, workers: int = 1) -> SearchR
     """
     if d_max < 0 or card_max < 1:
         raise InvalidParameterError("min_cardinality_scan: d_max >= 0 and card_max >= 1")
-    budget = sum(map(_card_task_size, _card_tasks(d_max, card_max)))
-    if budget > 100_000_000:
-        raise ResourceLimitError(f"min_cardinality_scan: {budget} sets exceeds budget")
+    # each diameter adds at least the set {0, d}, so a d_max past the budget
+    # is refused at once; otherwise the running total stops once past it
+    sizes = map(_card_task_size, _card_tasks(d_max, card_max))
+    if (card_max >= 2 and d_max >= _CARD_BUDGET) or any(
+            total > _CARD_BUDGET for total in accumulate(sizes)):
+        raise ResourceLimitError(f"min_cardinality_scan: more than {_CARD_BUDGET} sets")
     # largest first, so that no big task is left for one worker at the end
     tasks = sorted(_card_tasks(d_max, card_max), key=_card_task_size, reverse=True)
     return _scan(_card_chunk, tasks, workers,

@@ -10,6 +10,7 @@ import json
 import os
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -288,9 +289,9 @@ def test_criterion_10_property_suite(conway, fill2_seed):
 
         for name in ("nonfill", "thm31"):
             assert records[name].no_fill_in_required
-            assert verify_chain(records[name], no_fill_in=True).passed
+            assert verify_chain(records[name]).passed
 
-        broken = verify_chain(records["fill1"], no_fill_in=True)
+        broken = verify_chain(replace(records["fill1"], no_fill_in_required=True))
         assert not broken.passed
         gap_check = next(c for c in broken.checks if c.name == "no_fill_in")
         assert not gap_check.passed and gap_check.witnesses

@@ -1,14 +1,15 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from mstd_chains import (ChainBreakError, ChainRecord, Classification,
-                         IntegerSet, InvalidParameterError, MethodConfig,
+from mstd_chains import (ChainBreakError, ChainRecord, ChainStep,
+                         Classification, IntegerSet, InvalidParameterError,
                          chain_from_json, chain_to_json, fill1_chain,
-                         fill2_chain, miller_mstd, nonfill_chain,
-                         nonfill_explicit_mstd, oracle_profile, thm31_chain,
-                         verify_chain)
+                         fill2_chain, mdts_interval_plus_point, miller_mstd,
+                         nonfill_chain, nonfill_explicit_mstd, oracle_profile,
+                         profile, thm31_chain, verify_chain)
 from mstd_chains import chains as chains_module
 
 from .conftest import THM31_GENERAL, THM31_STRICT, run_python
@@ -262,7 +263,8 @@ def test_thm31_exhaustive_strict_sweep():
             assert exc.step_index == 2
             broken.append((n, L, R))
             continue
-        assert verify_chain(record, no_fill_in=True).passed, (n, L, R)
+        assert record.no_fill_in_required
+        assert verify_chain(record).passed, (n, L, R)
 
     assert broken == [
         (10, (0, 1, 2, 4, 5, 10), (0, 1, 2, 3, 6, 10)),
@@ -278,7 +280,7 @@ def test_thm31_exhaustive_strict_sweep():
 def test_verify_flags_fill_in(conway):
     record = fill1_chain(conway, 4)
     assert verify_chain(record).passed           # no-fill-in not required
-    forced = verify_chain(record, no_fill_in=True)
+    forced = verify_chain(replace(record, no_fill_in_required=True))
     assert not forced.passed
     failing = {c.name for c in forced.checks if not c.passed}
     assert failing == {"no_fill_in"}
@@ -403,15 +405,25 @@ def test_ratios_first_row_none(conway):
     assert float(ratios[1][0]) == 2.0
 
 
-def test_method_config_dispatch(conway, fill2_seed):
-    L, R, n = fill2_seed
-    assert MethodConfig(method="nonfill").build(3).method == "nonfill"
-    assert MethodConfig(method="fill1", seed=conway).build(2).method == "fill1"
-    assert MethodConfig(method="fill2", L=L, R=R, n=n).build(2).method == "fill2"
-    with pytest.raises(InvalidParameterError):
-        MethodConfig(method="fill2", L=L).build(2)
-    with pytest.raises(InvalidParameterError):
-        MethodConfig(method="warp").build(2)
+@pytest.mark.parametrize("bad, first_witness", [
+    ([nonfill_explicit_mstd(1), nonfill_explicit_mstd(1)],
+     "step 2 does not properly contain step 1"),
+    ([nonfill_explicit_mstd(1), nonfill_explicit_mstd(2)],
+     "step 2 classifies MSTD after MSTD"),
+    ([IntegerSet.interval(0, 4), mdts_interval_plus_point(4, 9)[0]],
+     "step 1 is balanced"),
+], ids=["repeated", "mstd-after-mstd", "balanced-first"])
+def test_assemble_and_verify_share_chain_rules(bad, first_witness):
+    # generation and verification judge nesting and alternation alike
+    with pytest.raises(AssertionError) as caught:
+        chains_module._assemble("nonfill", ((s, {}) for s in bad), len(bad), True)
+    steps = tuple(ChainStep(index=i, set=s, profile=profile(s))
+                  for i, s in enumerate(bad, start=1))
+    report = verify_chain(ChainRecord(method="nonfill", steps=steps))
+    witnesses = [w for c in report.checks if c.name in ("nesting", "alternation")
+                 for w in c.witnesses]
+    assert witnesses[0] == first_witness
+    assert str(caught.value) == f"nonfill: {witnesses[0]}"
 
 
 def test_chain_requires_positive_steps(conway):

@@ -56,11 +56,42 @@ def test_chain_zero_steps_is_usage_error(capsys):
     assert "--steps" in err
 
 
-def test_chain_missing_params_is_precondition_error(capsys):
-    code, _, err = run(capsys, "chain", "--method", "fill2", "--n", "10",
-                       "--steps", "3")
+@pytest.mark.parametrize("argv, named", [
+    (["--method", "fill1", "--steps", "3"], ["fill1 needs --seed-set"]),
+    (["--method", "fill2", "--n", "10", "--steps", "3"], ["fill2 needs --L, --R"]),
+    (["--method", "nonfill"], ["required: --steps"]),
+    (["--method", "thm31", "--L", "0,1,2,5,8", "--steps", "3"],
+     ["thm31 needs --R, --n, --m"]),
+    (["--method", "warp", "--steps", "3"], ["--method", "invalid choice: 'warp'"]),
+], ids=["fill1", "fill2", "nonfill", "thm31", "warp"])
+def test_chain_missing_params_is_precondition_error(capsys, argv, named):
+    code, out, err = run(capsys, "chain", *argv)
     assert code == 2
-    assert "fill2" in err
+    assert out == ""
+    for text in named:
+        assert text in err
+
+
+@pytest.mark.parametrize("argv, unread", [
+    (["--method", "fill2", "--L", "1,3,4,8,9", "--R", "12,13,15,18,19,20",
+      "--n", "10", "--m", "12"], "fill2 does not read --m"),
+    (["--method", "nonfill", "--seed-set", "0,2,3,4,7,11,12,14"],
+     "nonfill does not read --seed-set"),
+    (["--method", "fill1", "--seed-set", "0,2,3,4,7,11,12,14", "--n", "8",
+      "--mode", "generalized"], "fill1 does not read --n, --mode"),
+], ids=["fill2-m", "nonfill-seed-set", "fill1-n-mode"])
+def test_chain_flag_the_method_does_not_read_is_usage_error(capsys, argv, unread):
+    code, out, err = run(capsys, "chain", *argv, "--steps", "3")
+    assert code == 2
+    assert out == ""
+    assert unread in err
+
+
+def test_chain_default_mode_counts_as_unset(capsys):
+    code, out, _ = run(capsys, "chain", "--method", "nonfill", "--mode", "strict",
+                       "--steps", "3")
+    assert code == 0
+    assert out == emit_table(nonfill_chain(3))
 
 
 def test_chain_verify_flag(capsys):

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -148,14 +149,14 @@ def test_golden_comparison_detects_real_mismatch(table_chains):
     rows = json.loads(chain_to_json(table_chains["nonfill"]))
     rows[2]["sums"] = 999
     tampered = chain_from_json(json.dumps(rows))
-    comparison = compare_to_golden(tampered, method="nonfill")
+    comparison = compare_to_golden(replace(tampered, method="nonfill"))
     assert not comparison.passed
     assert any(c.row == 3 and c.column == "|A_i+A_i|" for c in comparison.mismatches)
 
 
 def test_golden_comparison_validations(table_chains):
     with pytest.raises(InvalidParameterError):
-        compare_to_golden(table_chains["fill1"], method="unknown")
+        compare_to_golden(replace(table_chains["fill1"], method="unknown"))
     short = fill1_chain(table_chains["fill1"].steps[0].set, 3)
     with pytest.raises(InvalidParameterError):
         compare_to_golden(short)

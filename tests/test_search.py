@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -132,6 +133,14 @@ def test_card_scan_region_without_witnesses():
 def test_card_scan_budget():
     with pytest.raises(ResourceLimitError):
         min_cardinality_scan(30, 30)
+
+
+@pytest.mark.parametrize("d_max, card_max", [(10**6, 3), (2 * 10**8, 2)])
+def test_card_scan_far_over_budget_is_refused_at_once(d_max, card_max):
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        min_cardinality_scan(d_max, card_max)
+    assert time.perf_counter() - start < 0.2
 
 
 def test_card_scan_worker_invariance():
