@@ -19,6 +19,7 @@ all. Whether gaps must stay gaps is carried by the record itself
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -400,9 +401,8 @@ def verify_chain(record: ChainRecord) -> VerificationReport:
         # walk right to left; a gap is violated iff some later step holds it
         for step in reversed(record.steps):
             if not later.is_empty and not step.set.is_empty:
-                lo, hi = step.set.min, step.set.max
                 els = later.elements
-                inside = els[(els >= lo) & (els <= hi)]
+                inside = els[bisect_left(els, step.set.min):bisect_right(els, step.set.max)]
                 filled = IntegerSet._from_sorted(inside).difference(step.set)
                 if not filled.is_empty:
                     gap_witnesses.append(

@@ -1,28 +1,35 @@
 """Exact algebra on finite sets of integers.
 
-The central object is :class:`IntegerSet`, an immutable strictly-increasing
-sequence of 64-bit integers with a dual representation: a sorted numpy array
-of elements plus a lazily-built bit-vector indexed from the minimum element.
-Sumsets and difference sets are computed by OR-ing shifted copies of the
-bit-vector, one shift range per maximal run of consecutive elements, so both
-sparse sets and the dense interval-plus-fringe sets this package generates
-stay cheap.
+The central object is :class:`IntegerSet`, an immutable set of 64-bit
+integers with two representations, each built from the other on first
+use: a sorted tuple of Python ints, and a bit-vector (one Python integer)
+indexed from the minimum element. Sumsets and difference sets are computed
+by OR-ing shifted copies of the bit-vector, one shift range per maximal
+run of consecutive elements, so both sparse sets and the dense
+interval-plus-fringe sets this package generates stay cheap. Union,
+difference, intersection and the subset test work on aligned bit-vectors
+while those stay small, and on Python sets otherwise.
 
-Sets wider than ``DENSE_DIAMETER_LIMIT`` fall back to vectorized element
-arithmetic instead of allocating an enormous bit-vector. That fallback
-forms every pair, so it refuses sets of more than 10**4 elements with
-``ResourceLimitError`` before allocating anything.
+Sets wider than ``DENSE_DIAMETER_LIMIT`` fall back to pairwise element
+arithmetic in numpy (``kernels._outer_unique``, imported on first use)
+instead of allocating an enormous bit-vector. That fallback forms every
+pair, so it refuses sets of more than 10**4 elements with
+``ResourceLimitError`` before allocating anything. Nothing else here
+needs numpy.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
-
-import numpy as np
+from functools import reduce
+from itertools import chain, filterfalse
+from numbers import Integral
+from operator import index, or_
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ArithmeticRangeError, InvalidParameterError, ResourceLimitError
 
@@ -33,8 +40,10 @@ INT64_MAX = (1 << 63) - 1
 # is an 8 MiB integer, and sum/difference vectors are about twice that.
 DENSE_DIAMETER_LIMIT = 1 << 26
 
-# Row block for the chunked outer-sum fallback on very wide sets.
-_OUTER_BLOCK = 256
+# Set algebra uses bit-vectors while the joint window has at most this
+# many positions per element; sparser operands go through Python sets,
+# whose cost does not grow with the window.
+_ALGEBRA_BITS_PER_ELEMENT = 16
 
 # Most pairs the outer-sum fallback forms for one set: 10**4 elements.
 _WIDE_PAIR_LIMIT = 10 ** 8
@@ -61,12 +70,70 @@ def _smear(x: int, length: int) -> int:
     return x
 
 
+def _element_runs(els: Sequence[int]) -> list[tuple[int, int]]:
+    """Maximal runs of consecutive values in a strictly increasing sequence.
+
+    ``els[j] - j`` is constant exactly along a run, so each run's end is
+    found by doubling then bisecting: a lone element costs one probe and a
+    run of length r about 2 log2(r).
+    """
+    runs = []
+    i, n = 0, len(els)
+    while i < n:
+        key = els[i] - i
+        end, step = i, 1
+        while end + step < n and els[end + step] - (end + step) == key:
+            end += step
+            step <<= 1
+        hi = min(end + step, n) - 1
+        while end < hi:
+            mid = (end + hi + 1) >> 1
+            if els[mid] - mid == key:
+                end = mid
+            else:
+                hi = mid - 1
+        runs.append((els[i], els[end]))
+        i = end + 1
+    return runs
+
+
+def _bit_runs(bits: int) -> list[tuple[int, int]]:
+    """Maximal runs of set bits as (first, last) bit positions, ascending."""
+    # a bit of flips is set where a run starts or just past where one ends
+    flips = bin(bits ^ (bits << 1))
+    top = len(flips) - 1
+    edges = []
+    i = flips.rfind("1")
+    while i >= 0:
+        edges.append(top - i)
+        i = flips.rfind("1", 0, i)
+    return [(start, stop - 1) for start, stop in zip(edges[::2], edges[1::2])]
+
+
+def _pack(runs: Iterable[tuple[int, int]], width: int) -> int:
+    """The bit-vector with bits ``first..last`` set for each run, run by run."""
+    buf = bytearray((width + 7) >> 3)
+    for first, last in runs:
+        i, j = first >> 3, last >> 3
+        if i == j:
+            buf[i] |= ((2 << (last - first)) - 1) << (first & 7)
+        else:
+            buf[i] |= (0xFF << (first & 7)) & 0xFF
+            buf[i + 1:j] = b"\xff" * (j - i - 1)
+            buf[j] |= (2 << (last & 7)) - 1
+    return int.from_bytes(buf, "little")
+
+
 class IntegerSet:
     """Immutable finite set of integers, kept strictly increasing.
 
-    Construct from any iterable of ints (Python or numpy integers, never
-    bools); duplicates collapse. All derived statistics (sumset, difference
-    set, profile) are recomputable from the elements alone.
+    Construct from any iterable of integers (``int`` or another
+    ``numbers.Integral`` such as a numpy integer, never a bool); duplicates
+    collapse. Elements are kept as a sorted tuple of ``int``. The
+    bit-vector has bit i set iff offset + i is an element, with bit 0 set
+    (the offset is the minimum); sets computed on bit-vectors build their
+    tuple only when it is asked for. All derived statistics (sumset,
+    difference set, profile) are recomputable from the elements alone.
     """
 
     __slots__ = ("_els", "_bits", "_offset")
@@ -80,28 +147,25 @@ class IntegerSet:
         items = list(elements)
         kinds = set(map(type, items)) - {int}
         if kinds:
-            wrong = {k for k in kinds if k is bool or not issubclass(k, (int, np.integer))}
+            wrong = {k for k in kinds if k is bool or not issubclass(k, Integral)}
             if wrong:
                 bad = next(x for x in items if type(x) in wrong)
                 raise InvalidParameterError(f"IntegerSet: element {bad!r} is not an integer")
-            items = [int(x) for x in items]
-        try:
-            arr = np.array(sorted(set(items)), dtype=np.int64)
-        except OverflowError as exc:
-            raise ArithmeticRangeError("element outside signed 64-bit range") from exc
-        self._els = arr
-        self._els.flags.writeable = False
+            items = list(map(int, items))
+        els = tuple(sorted(set(items)))
+        if els and (els[0] < INT64_MIN or els[-1] > INT64_MAX):
+            raise ArithmeticRangeError("element outside signed 64-bit range")
+        self._els: Optional[tuple[int, ...]] = els
         self._bits: Optional[int] = None
         self._offset = 0
 
     # ---- alternate constructors ----
 
     @classmethod
-    def _from_sorted(cls, arr: np.ndarray) -> "IntegerSet":
-        """Trusted path: ``arr`` is int64, strictly increasing."""
+    def _from_sorted(cls, els: tuple[int, ...]) -> "IntegerSet":
+        """Trusted path: ``els`` is a strictly increasing tuple of ints."""
         out = cls.__new__(cls)
-        out._els = arr
-        out._els.flags.writeable = False
+        out._els = els
         out._bits = None
         out._offset = 0
         return out
@@ -110,18 +174,26 @@ class IntegerSet:
     def _from_bits(cls, bits: int, offset: int) -> "IntegerSet":
         """Trusted path: bit ``i`` of ``bits`` means ``offset + i`` is present.
 
+        The offset moves up to the lowest set bit, which ``min`` reads.
         Elements are materialized lazily; cardinality and extremes come
         straight from the bit-vector.
         """
         out = cls.__new__(cls)
         out._els = None
+        if bits:
+            low = (bits & -bits).bit_length() - 1
+            bits >>= low
+            offset += low
+        else:
+            offset = 0
         out._bits = bits
-        out._offset = offset if bits else 0
+        out._offset = offset
         return out
 
     @classmethod
     def interval(cls, lo: int, hi: int) -> "IntegerSet":
         """The integers from ``lo`` to ``hi`` inclusive (empty if lo > hi)."""
+        lo, hi = index(lo), index(hi)
         if lo > hi:
             return cls()
         if not (INT64_MIN <= lo and hi <= INT64_MAX):
@@ -131,7 +203,7 @@ class IntegerSet:
         if hi - lo > DENSE_DIAMETER_LIMIT:
             raise ResourceLimitError(
                 f"interval of more than {DENSE_DIAMETER_LIMIT + 1} elements")
-        return cls._from_sorted(np.arange(lo, hi + 1, dtype=np.int64))
+        return cls._from_bits((2 << (hi - lo)) - 1, lo)
 
     @classmethod
     def from_text(cls, text: str) -> "IntegerSet":
@@ -159,24 +231,16 @@ class IntegerSet:
     # ---- basic queries ----
 
     @property
-    def elements(self) -> np.ndarray:
-        """Sorted elements as a read-only int64 array."""
+    def elements(self) -> tuple[int, ...]:
+        """Sorted elements as a tuple of ints."""
         if self._els is None:
-            self._els = self._materialize()
-            self._els.flags.writeable = False
+            self._els = tuple(chain.from_iterable(
+                range(first, last + 1) for first, last in self._runs()))
         return self._els
-
-    def _materialize(self) -> np.ndarray:
-        bits, offset = self._bits, self._offset
-        if not bits:
-            return np.empty(0, dtype=np.int64)
-        raw = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
-        flags = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-        return np.nonzero(flags)[0].astype(np.int64) + offset
 
     @property
     def is_empty(self) -> bool:
-        return self._bits == 0 if self._els is None else len(self._els) == 0
+        return self._bits == 0 if self._els is None else not self._els
 
     def __len__(self) -> int:
         if self._els is None:
@@ -189,7 +253,7 @@ class IntegerSet:
             raise InvalidParameterError("empty set has no minimum")
         if self._els is None:
             return self._offset
-        return int(self._els[0])
+        return self._els[0]
 
     @property
     def max(self) -> int:
@@ -197,7 +261,7 @@ class IntegerSet:
             raise InvalidParameterError("empty set has no maximum")
         if self._els is None:
             return self._offset + self._bits.bit_length() - 1
-        return int(self._els[-1])
+        return self._els[-1]
 
     @property
     def diameter(self) -> int:
@@ -205,75 +269,94 @@ class IntegerSet:
         return self.max - self.min
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.elements.tolist())
+        return iter(self.elements)
 
     def __contains__(self, value: int) -> bool:
-        if self.is_empty or not (INT64_MIN <= value <= INT64_MAX):
-            return False
         if self._bits is not None:
             idx = value - self._offset
-            return 0 <= idx and bool((self._bits >> idx) & 1)
+            return idx >= 0 and (self._bits >> idx) & 1 == 1
         els = self._els
-        i = int(np.searchsorted(els, value))
-        return i < len(els) and int(els[i]) == value
+        i = bisect_left(els, value)
+        return i < len(els) and els[i] == value
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntegerSet):
             return NotImplemented
         if len(self) != len(other):
             return False
-        return bool(np.array_equal(self.elements, other.elements))
+        if self._els is not None and other._els is not None:
+            return self._els == other._els
+        if self.is_empty:
+            return True
+        # one side already has its bit-vector, so equal ends bound the other's
+        return (self.min == other.min and self.max == other.max
+                and self._bitvector()[0] == other._bitvector()[0])
 
     def __hash__(self) -> int:
-        if self.is_empty:
-            return hash(())
-        return hash((len(self), self.min, self.max, self.elements.tobytes()))
+        return hash(self.elements)
 
     def __repr__(self) -> str:
         els = self.elements
         if len(els) <= 12:
-            body = ", ".join(str(x) for x in els.tolist())
+            body = ", ".join(map(str, els))
         else:
-            head = ", ".join(str(x) for x in els[:6].tolist())
-            tail = ", ".join(str(x) for x in els[-3:].tolist())
-            body = f"{head}, ... {tail}"
+            body = f"{', '.join(map(str, els[:6]))}, ... {', '.join(map(str, els[-3:]))}"
         return f"IntegerSet([{body}])"
 
     def to_text(self) -> str:
         """Canonical text form: ASCII decimals, comma-separated, increasing."""
-        return ",".join(str(x) for x in self.elements.tolist())
+        return ",".join(map(str, self.elements))
 
     def to_list(self) -> list[int]:
-        return self.elements.tolist()
+        return list(self.elements)
 
     # ---- set algebra ----
 
     def union(self, *others: "IntegerSet") -> "IntegerSet":
-        arrays = [self.elements] + [o.elements for o in others]
-        return IntegerSet._from_sorted(
-            np.unique(np.concatenate(arrays)) if len(arrays) > 1 else arrays[0]
-        )
+        sets = [s for s in (self, *others) if not s.is_empty]
+        if len(sets) < 2:
+            return sets[0] if sets else IntegerSet()
+        aligned = _aligned(sets)
+        if aligned is not None:
+            words, offset = aligned
+            return IntegerSet._from_bits(reduce(or_, words), offset)
+        return IntegerSet._from_sorted(tuple(sorted(set().union(*(s.elements for s in sets)))))
 
     def difference(self, other: "IntegerSet") -> "IntegerSet":
-        keep = ~self._membership_mask(other)
-        return IntegerSet._from_sorted(self.elements[keep])
+        if not self._overlaps(other):
+            return self
+        aligned = _aligned((self, other))
+        if aligned is not None:
+            (mine, theirs), offset = aligned
+            return IntegerSet._from_bits(mine & ~theirs, offset)
+        drop = set(other.elements)
+        return IntegerSet._from_sorted(tuple(filterfalse(drop.__contains__, self.elements)))
 
     def intersection(self, other: "IntegerSet") -> "IntegerSet":
-        return IntegerSet._from_sorted(self.elements[self._membership_mask(other)])
+        if not self._overlaps(other):
+            return IntegerSet()
+        aligned = _aligned((self, other))
+        if aligned is not None:
+            (mine, theirs), offset = aligned
+            return IntegerSet._from_bits(mine & theirs, offset)
+        keep = set(other.elements)
+        return IntegerSet._from_sorted(tuple(filter(keep.__contains__, self.elements)))
 
-    def _membership_mask(self, other: "IntegerSet") -> np.ndarray:
-        """Boolean mask over self.elements: which are members of ``other``."""
-        mine, theirs = self.elements, other.elements
-        if len(theirs) == 0 or len(mine) == 0:
-            return np.zeros(len(mine), dtype=bool)
-        idx = np.searchsorted(theirs, mine)
-        idx[idx == len(theirs)] = len(theirs) - 1
-        return theirs[idx] == mine
+    def _overlaps(self, other: "IntegerSet") -> bool:
+        """Whether both sets are nonempty and their windows meet."""
+        return not (self.is_empty or other.is_empty
+                    or other.max < self.min or other.min > self.max)
 
     def issubset(self, other: "IntegerSet") -> bool:
-        if len(self) > len(other):
+        if self.is_empty:
+            return True
+        if len(self) > len(other) or self.min < other.min or self.max > other.max:
             return False
-        return bool(self._membership_mask(other).all())
+        aligned = _aligned((self, other))
+        if aligned is not None:
+            (mine, theirs), _ = aligned
+            return mine & ~theirs == 0
+        return set(other.elements).issuperset(self.elements)
 
     def ispropersubset(self, other: "IntegerSet") -> bool:
         return len(self) < len(other) and self.issubset(other)
@@ -284,20 +367,22 @@ class IntegerSet:
             return True
         if self.is_empty or lo < self.min or hi > self.max:
             return False
-        els = self.elements
-        i = int(np.searchsorted(els, lo))
-        j = int(np.searchsorted(els, hi))
-        # contiguous block of j - i + 1 entries covering [lo, hi]
-        return int(els[i]) == lo and int(els[j]) == hi and (j - i) == (hi - lo)
+        if self._bits is not None:
+            run = (2 << (hi - lo)) - 1
+            return (self._bits >> (lo - self._offset)) & run == run
+        els = self._els
+        # a contiguous block of hi - lo + 1 entries starting at lo
+        i = bisect_left(els, lo)
+        j = i + hi - lo
+        return els[i] == lo and j < len(els) and els[j] == hi
 
     def missing_in_interval(self, lo: int, hi: int) -> list[int]:
         """The integers in [lo, hi] that are not elements, ascending."""
         if lo > hi:
             return []
         els = self.elements
-        inside = els[(els >= lo) & (els <= hi)]
-        window = np.arange(lo, hi + 1, dtype=np.int64)
-        return np.setdiff1d(window, inside, assume_unique=True).tolist()
+        inside = set(els[bisect_left(els, lo):bisect_right(els, hi)])
+        return list(filterfalse(inside.__contains__, range(lo, hi + 1)))
 
     def shift(self, y: int) -> "IntegerSet":
         """Translate every element by ``y``."""
@@ -309,27 +394,40 @@ class IntegerSet:
         """(bits, offset) with bit i meaning offset + i is present."""
         if self._bits is None:
             els = self._els
-            if len(els) == 0:
+            if not els:
                 self._bits, self._offset = 0, 0
             else:
-                offset = int(els[0])
-                width = int(els[-1]) - offset + 1
-                buf = np.zeros(width, dtype=np.uint8)
-                buf[els - offset] = 1
-                packed = np.packbits(buf, bitorder="little")
-                self._bits = int.from_bytes(packed.tobytes(), "little")
+                offset = els[0]
+                self._bits = _pack(((first - offset, last - offset)
+                                    for first, last in _element_runs(els)),
+                                   els[-1] - offset + 1)
                 self._offset = offset
         return self._bits, self._offset
 
     def _runs(self) -> list[tuple[int, int]]:
         """Maximal runs of consecutive elements as (start, end) pairs."""
-        els = self.elements
-        if len(els) == 0:
-            return []
-        breaks = np.nonzero(np.diff(els) != 1)[0]
-        starts = els[np.concatenate(([0], breaks + 1))]
-        ends = els[np.concatenate((breaks, [len(els) - 1]))]
-        return list(zip(starts.tolist(), ends.tolist()))
+        if self._els is not None:
+            return _element_runs(self._els)
+        offset = self._offset
+        return [(offset + first, offset + last) for first, last in _bit_runs(self._bits)]
+
+
+def _aligned(sets: Sequence[IntegerSet]) -> Optional[tuple[list[int], int]]:
+    """The bit-vectors of nonempty ``sets`` shifted to one shared offset.
+
+    None when no operand has its bit-vector yet (sets built from elements
+    are then cheapest to combine as sets), or when the window is wider
+    than ``DENSE_DIAMETER_LIMIT`` or holds more than
+    ``_ALGEBRA_BITS_PER_ELEMENT`` positions per element.
+    """
+    if all(s._bits is None for s in sets):
+        return None
+    lo = min(s.min for s in sets)
+    diameter = max(s.max for s in sets) - lo
+    if (diameter > DENSE_DIAMETER_LIMIT
+            or diameter >= _ALGEBRA_BITS_PER_ELEMENT * sum(map(len, sets))):
+        return None
+    return [bits << (offset - lo) for bits, offset in (s._bitvector() for s in sets)], lo
 
 
 @dataclass(frozen=True)
@@ -382,20 +480,6 @@ def _check_pair_budget(a: IntegerSet, op: str) -> None:
             f"would need more than {_WIDE_PAIR_LIMIT} pairs")
 
 
-def _outer_unique(left: np.ndarray, right: np.ndarray, subtract: bool = False) -> np.ndarray:
-    """Unique pairwise sums (or differences) of two int64 arrays, in row blocks.
-
-    The pairwise results themselves are known to fit int64 before this is
-    called; subtraction is done directly so no intermediate negation can wrap.
-    """
-    op = np.subtract if subtract else np.add
-    parts = [
-        np.unique(op(left[i:i + _OUTER_BLOCK, None], right[None, :]))
-        for i in range(0, len(left), _OUTER_BLOCK)
-    ]
-    return np.unique(np.concatenate(parts)) if len(parts) > 1 else parts[0]
-
-
 def sumset(a: IntegerSet) -> IntegerSet:
     """The set of pairwise sums {x + y : x, y in a}. Empty input -> empty."""
     if a.is_empty:
@@ -408,8 +492,8 @@ def sumset(a: IntegerSet) -> IntegerSet:
             acc |= _smear(bits, end - start + 1) << (start - offset)
         return IntegerSet._from_bits(acc, 2 * offset)
     _check_pair_budget(a, "sumset")
-    els = a.elements
-    return IntegerSet._from_sorted(_outer_unique(els, els))
+    from .kernels import _outer_unique
+    return IntegerSet._from_sorted(_outer_unique(a.elements))
 
 
 def diffset(a: IntegerSet) -> IntegerSet:
@@ -427,8 +511,8 @@ def diffset(a: IntegerSet) -> IntegerSet:
             acc |= _smear(bits, end - start + 1) << (top - end)
         return IntegerSet._from_bits(acc, a.min - top)
     _check_pair_budget(a, "diffset")
-    els = a.elements
-    return IntegerSet._from_sorted(_outer_unique(els, els, subtract=True))
+    from .kernels import _outer_unique
+    return IntegerSet._from_sorted(_outer_unique(a.elements, subtract=True))
 
 
 def affine(a: IntegerSet, x: int, y: int) -> IntegerSet:
@@ -437,6 +521,7 @@ def affine(a: IntegerSet, x: int, y: int) -> IntegerSet:
     Dilation and translation preserve both the sumset and difference-set
     cardinalities, so profiles carry over unchanged.
     """
+    x, y = index(x), index(y)
     if x == 0:
         raise InvalidParameterError("affine: dilation factor x must be nonzero")
     if a.is_empty:
@@ -445,8 +530,14 @@ def affine(a: IntegerSet, x: int, y: int) -> IntegerSet:
     for corner in (x * a.min, x * a.max, x * a.min + y, x * a.max + y):
         if not (INT64_MIN <= corner <= INT64_MAX):
             raise ArithmeticRangeError("affine image leaves signed 64-bit range")
-    out = a.elements * np.int64(x) + np.int64(y)
-    return IntegerSet._from_sorted(out[::-1].copy() if x < 0 else out)
+    if a._els is None and x in (1, -1):
+        if x == 1:
+            return IntegerSet._from_bits(a._bits, a._offset + y)
+        # read backwards, the bit string puts the maximum at bit 0
+        return IntegerSet._from_bits(int(bin(a._bits)[:1:-1], 2), y - a.max)
+    els = a.elements
+    out = tuple(map(y.__add__, els if x == 1 else map(x.__mul__, els)))
+    return IntegerSet._from_sorted(out[::-1] if x < 0 else out)
 
 
 def classify(a: IntegerSet) -> Classification:
@@ -465,11 +556,7 @@ def symmetry_center(a: IntegerSet) -> Optional[int]:
         return None
     c = a.min + a.max
     els = a.elements
-    if INT64_MIN <= c <= INT64_MAX:
-        return c if bool(np.array_equal(c - els[::-1], els)) else None
-    # c itself can exceed 64 bits even though every c - e is in range
-    values = els.tolist()
-    return c if all(c - e in a for e in values) else None
+    return c if tuple(c - e for e in reversed(els)) == els else None
 
 
 def is_pn(a: IntegerSet, n: int) -> bool:

@@ -5,7 +5,7 @@ import pytest
 from mstd_chains import IntegerSet, emit_table, nonfill_chain
 from mstd_chains.cli import cli_main
 
-from .conftest import THM31_STRICT
+from .conftest import THM31_STRICT, run_python
 
 
 def run(capsys, *argv):
@@ -249,3 +249,37 @@ def test_search_requires_subcommand(capsys):
 
 def test_unknown_command(capsys):
     assert run(capsys, "transmogrify")[0] == 2
+
+
+# ---------------------------------------------------------------------------
+# start-up cost
+# ---------------------------------------------------------------------------
+
+def test_non_search_commands_load_neither_numpy_nor_multiprocessing(tmp_path):
+    # only the search kernels and the wide-set fallback need numpy
+    chain_file = tmp_path / "chain.json"
+    script = (
+        "import contextlib, io, sys\n"
+        "from mstd_chains.cli import cli_main\n"
+        "commands = [\n"
+        "    ['analyze', '0,2,3,4,7,11,12,14'],\n"
+        "    ['chain', '--method', 'fill1', '--seed-set', '0,2,3,4,7,11,12,14',\n"
+        "     '--steps', '7', '--verify'],\n"
+        "    ['chain', '--method', 'fill2', '--L', '1,3,4,8,9', '--R',\n"
+        "     '12,13,15,18,19,20', '--n', '10', '--steps', '7', '--verify'],\n"
+        "    ['chain', '--method', 'thm31', '--L', '0,1,2,5,8', '--R', '0,1,3,4,8',\n"
+        "     '--n', '8', '--m', '10', '--steps', '7', '--verify'],\n"
+        "    ['verify', sys.argv[1], '--no-fill-in'],\n"
+        "    ['table', sys.argv[1], '--format', 'csv'],\n"
+        "]\n"
+        "with open(sys.argv[1], 'w') as handle, contextlib.redirect_stdout(handle):\n"
+        "    assert cli_main(['chain', '--method', 'nonfill', '--steps', '7',\n"
+        "                     '--format', 'json']) == 0\n"
+        "for argv in commands:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli_main(argv) == 0, argv\n"
+        "print(sorted({'numpy', 'multiprocessing'} & set(sys.modules)))\n"
+    )
+    done = run_python("-c", script, str(chain_file))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mstd_chains import (ArithmeticRangeError, Classification, IntegerSet,
@@ -324,12 +324,36 @@ def test_profile_of_lazy_result_sets(conway):
     assert p.sum_count == len(naive_sums(hull))
 
 
+def _operand(els: set, kind: str) -> IntegerSet:
+    """A set built from elements, or one already holding its bit-vector;
+    the algebra takes the bit-vector path only for the latter."""
+    out = IntegerSet(els)
+    if kind == "bits":
+        out._bitvector()
+    return out
+
+
+@example({0, 1, 2, 5, 9}, {0, 1, 3}, "bits", "bits", False)  # a - b loses a's lowest bits
+@example({0, 1, 2, 5, 9}, {0, 1, 3}, "elements", "bits", True)
 @given(st.sets(st.integers(-200, 200), max_size=30),
-       st.sets(st.integers(-200, 200), max_size=30))
-def test_set_operations_match_python_sets(a_els, b_els):
-    a, b = IntegerSet(a_els), IntegerSet(b_els)
-    assert set(a.union(b)) == a_els | b_els
-    assert set(a.difference(b)) == a_els - b_els
-    assert set(a.intersection(b)) == a_els & b_els
+       st.sets(st.integers(-200, 200), max_size=30),
+       st.sampled_from(["elements", "bits"]), st.sampled_from(["elements", "bits"]),
+       st.booleans())
+def test_set_operations_match_python_sets(a_els, b_els, a_kind, b_kind, wide):
+    from mstd_chains.intset import DENSE_DIAMETER_LIMIT
+
+    if wide:  # the joint window is then too wide for bit-vectors
+        b_els = b_els | {DENSE_DIAMETER_LIMIT + 500}
+    a, b = _operand(a_els, a_kind), _operand(b_els, b_kind)
+    for got, want in ((a.union(b), a_els | b_els), (b.union(a), a_els | b_els),
+                      (a.difference(b), a_els - b_els), (b.difference(a), b_els - a_els),
+                      (a.intersection(b), a_els & b_els), (b.intersection(a), a_els & b_els)):
+        # extremes first: once the element tuple exists, they read it instead
+        assert got.is_empty == (not want)
+        if want:
+            assert (got.min, got.max) == (min(want), max(want))
+        assert len(got) == len(want)
+        assert got.to_list() == sorted(want)
     assert a.issubset(b) == (a_els <= b_els)
+    assert b.issubset(a) == (b_els <= a_els)
     assert a.ispropersubset(b) == (a_els < b_els)

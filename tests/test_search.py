@@ -9,11 +9,12 @@ from mstd_chains import (Classification, IntegerSet, InvalidParameterError,
                          ResourceLimitError, exhaustive_by_diameter,
                          fill2_chain, find_fill2_seeds, min_cardinality_scan,
                          oracle_profile, profile, sample_mstd_proportion,
-                         search, wilson_interval)
-from mstd_chains.search import (_BATCH, _card_chunk, _enum_chunk, _grow, _mask_counts,
-                                _sample_chunk, _word_counts, _worker_count)
+                         kernels, search, wilson_interval)
+from mstd_chains.kernels import (_BATCH, _card_chunk, _enum_chunk, _grow, _mask_counts,
+                                 _sample_chunk, _word_counts)
+from mstd_chains.search import _worker_count
 
-from .conftest import CONWAY, FILL2_L, FILL2_R, REPO
+from .conftest import CONWAY, FILL2_L, FILL2_R, REPO, run_python
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +134,15 @@ def test_card_scan_region_without_witnesses():
 def test_card_scan_budget():
     with pytest.raises(ResourceLimitError):
         min_cardinality_scan(30, 30)
+
+
+def test_card_scan_past_the_word_width_is_linear_in_diameter():
+    # with card_max = 2 every diameter holds one set, {0, d}; the scan used
+    # to copy range(1, d) for its single empty combination, quadratic in d
+    start = time.perf_counter()
+    report = min_cardinality_scan(2 * 10**4, 2)
+    assert time.perf_counter() - start < 2.5
+    assert (report.total_examined, report.balanced_count) == (2 * 10**4 + 1, 2 * 10**4 + 1)
 
 
 @pytest.mark.parametrize("d_max, card_max", [(10**6, 3), (2 * 10**8, 2)])
@@ -371,7 +381,7 @@ def test_grow_split_matches_unsplit(monkeypatch):
     chunks = {task: _enum_chunk(task) for task in [(17, 0, 1 << 14), (17, 1 << 14, 1 << 15)]}
     cards = {task: _card_chunk(task) for task in [(20, 5), (31, 3), (18, 8)]}
     seeds = find_fill2_seeds(9)
-    monkeypatch.setattr(search, "_BATCH", 1 << 5)
+    monkeypatch.setattr(kernels, "_BATCH", 1 << 5)
     assert _grown(base, free) == whole
     assert _grown(base, free, 6) == limited
     for task, expected in chunks.items():
@@ -383,14 +393,14 @@ def test_grow_split_matches_unsplit(monkeypatch):
 
 def test_no_kernel_call_holds_more_than_the_cap(monkeypatch):
     sizes = []
-    batch = search._grow_batch
+    batch = kernels._grow_batch
 
     def recording(*args):
         out = batch(*args)
         sizes.append(out[0].size)
         return out
 
-    monkeypatch.setattr(search, "_grow_batch", recording)
+    monkeypatch.setattr(kernels, "_grow_batch", recording)
     total = exhaustive_by_diameter(21).total_examined
     total += min_cardinality_scan(31, 6).total_examined
     total += sum(min_cardinality_scan(d, d + 1).total_examined for d in (19, 20))
@@ -495,3 +505,21 @@ def test_pooled_search_exits_cleanly_in_fresh_interpreter():
     assert done.returncode == 0
     assert done.stderr == ""
     assert done.stdout.split() == [str(2 ** 12), "9000"]
+
+
+def test_numpy_is_loaded_before_the_pool_forks():
+    # a worker forked before numpy is imported would import it once per worker
+    script = ("import os, sys; os.cpu_count = lambda: 2\n"
+              "from mstd_chains import exhaustive_by_diameter, search\n"
+              "assert 'numpy' not in sys.modules\n"
+              "start_pool = search._shared_pool\n"
+              "seen = []\n"
+              "def recording(workers):\n"
+              "    seen.append('numpy' in sys.modules)\n"
+              "    return start_pool(workers)\n"
+              "search._shared_pool = recording\n"
+              "exhaustive_by_diameter(12, workers=2)\n"
+              "print(seen)\n")
+    done = run_python("-c", script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[True]\n"
