@@ -25,8 +25,8 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .constructions import (MultiDimAP, NathansonParams, _check_fringe_seed,
-                            interval_minus_point, mdts_interval_plus_point,
-                            nathanson_mstd, nonfill_explicit_mdts,
+                            _nonfill_add_point, interval_minus_point,
+                            mdts_interval_plus_point, nathanson_mstd,
                             nonfill_explicit_mstd, thm31_base)
 from .errors import ChainBreakError, InvalidParameterError
 from .intset import (Classification, IntegerSet, SetProfile, affine, classify,
@@ -250,8 +250,9 @@ def iter_nonfill_chain() -> Iterator[tuple[IntegerSet, dict]]:
     beyond the previous maximum."""
     l = 1
     while True:
-        yield nonfill_explicit_mstd(l, check=False), {"l": l, "kind": "mstd"}
-        yield nonfill_explicit_mdts(l, check=False), {"l": l, "kind": "mdts"}
+        mstd = nonfill_explicit_mstd(l, check=False)
+        yield mstd, {"l": l, "kind": "mstd"}
+        yield _nonfill_add_point(mstd, l), {"l": l, "kind": "mdts"}
         l += 1
 
 

@@ -270,13 +270,18 @@ def nonfill_explicit_mdts(l: int, check: bool = True) -> IntegerSet:
     """
     if l < 1:
         raise InvalidParameterError("nonfill_explicit_mdts: l must be >= 1")
-    out = nonfill_explicit_mstd(l, check=False).union(IntegerSet([8 * l + 14]))
+    out = _nonfill_add_point(nonfill_explicit_mstd(l, check=False), l)
     if check:
         if len(sumset(out)) != 16 * l + 24:
             raise AssertionError("nonfill_explicit_mdts: sum count identity failed")
         if len(diffset(out)) != 16 * l + 25:
             raise AssertionError("nonfill_explicit_mdts: difference count identity failed")
     return out
+
+
+def _nonfill_add_point(mstd: IntegerSet, l: int) -> IntegerSet:
+    """Step 2l from step 2l-1 (``mstd``) of the non-filling-in sequence."""
+    return mstd.union(IntegerSet([8 * l + 14]))
 
 
 @dataclass(frozen=True)

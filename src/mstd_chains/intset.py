@@ -10,12 +10,11 @@ interval-plus-fringe sets this package generates stay cheap. Union,
 difference, intersection and the subset test work on aligned bit-vectors
 while those stay small, and on Python sets otherwise.
 
-Sets wider than ``DENSE_DIAMETER_LIMIT`` fall back to pairwise element
-arithmetic in numpy (``kernels._outer_unique``, imported on first use)
-instead of allocating an enormous bit-vector. That fallback forms every
-pair, so it refuses sets of more than 10**4 elements with
-``ResourceLimitError`` before allocating anything. Nothing else here
-needs numpy.
+Sets wider than ``DENSE_DIAMETER_LIMIT`` fall back to pairwise sums and
+differences of their elements, as Python integers, instead of allocating
+an enormous bit-vector. That fallback lists every pair, so it refuses
+sets of more than 10**4 elements with ``ResourceLimitError`` before
+allocating anything. Nothing here needs numpy.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import chain, filterfalse
 from numbers import Integral
-from operator import index, or_
+from operator import index, neg, or_
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ArithmeticRangeError, InvalidParameterError, ResourceLimitError
@@ -45,7 +44,7 @@ DENSE_DIAMETER_LIMIT = 1 << 26
 # whose cost does not grow with the window.
 _ALGEBRA_BITS_PER_ELEMENT = 16
 
-# Most pairs the outer-sum fallback forms for one set: 10**4 elements.
+# Most pairs the pairwise fallback lists for one set: 10**4 elements.
 _WIDE_PAIR_LIMIT = 10 ** 8
 
 # One token of a set literal: an ASCII decimal integer.
@@ -480,6 +479,19 @@ def _check_pair_budget(a: IntegerSet, op: str) -> None:
             f"would need more than {_WIDE_PAIR_LIMIT} pairs")
 
 
+def _pair_values(els: Sequence[int], subtract: bool) -> tuple[int, ...]:
+    """Distinct x + y over i <= j, or y - x over i < j, of ``els``, ascending.
+
+    ``els`` is strictly increasing, so each row of a pair table is already
+    ascending and the one sort only merges the rows.
+    """
+    values: list[int] = []
+    for i, x in enumerate(els):
+        values += map(x.__rsub__, els[i + 1:]) if subtract else map(x.__add__, els[i:])
+    values.sort()
+    return tuple(dict.fromkeys(values))
+
+
 def sumset(a: IntegerSet) -> IntegerSet:
     """The set of pairwise sums {x + y : x, y in a}. Empty input -> empty."""
     if a.is_empty:
@@ -492,8 +504,7 @@ def sumset(a: IntegerSet) -> IntegerSet:
             acc |= _smear(bits, end - start + 1) << (start - offset)
         return IntegerSet._from_bits(acc, 2 * offset)
     _check_pair_budget(a, "sumset")
-    from .kernels import _outer_unique
-    return IntegerSet._from_sorted(_outer_unique(a.elements))
+    return IntegerSet._from_sorted(_pair_values(a.elements, subtract=False))
 
 
 def diffset(a: IntegerSet) -> IntegerSet:
@@ -511,8 +522,8 @@ def diffset(a: IntegerSet) -> IntegerSet:
             acc |= _smear(bits, end - start + 1) << (top - end)
         return IntegerSet._from_bits(acc, a.min - top)
     _check_pair_budget(a, "diffset")
-    from .kernels import _outer_unique
-    return IntegerSet._from_sorted(_outer_unique(a.elements, subtract=True))
+    positive = _pair_values(a.elements, subtract=True)
+    return IntegerSet._from_sorted((*map(neg, reversed(positive)), 0, *positive))
 
 
 def affine(a: IntegerSet, x: int, y: int) -> IntegerSet:

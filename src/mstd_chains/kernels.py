@@ -1,9 +1,9 @@
-"""The numpy kernels: word-level set classification and the wide fallback.
+"""The numpy kernels: word-level classification of batches of sets.
 
-This is the only module of the package that imports numpy. The search
-drivers in ``search`` import it before they start work (so numpy is loaded
-before a worker pool forks), and ``intset`` imports it for sets too wide
-for a bit-vector; every other command runs without numpy.
+This is the only module of the package that imports numpy, and only the
+search drivers in ``search`` import it, before they start work (so numpy
+is loaded before a worker pool forks); every other command runs without
+numpy.
 
 A set inside [0, 32) is one ``uint64`` word, and so are its sum and
 difference words. The exhaustive, cardinality and seed scans build each
@@ -11,8 +11,9 @@ set from one with an element fewer, since (A | {x}) + (A | {x}) =
 (A + A) | (A + x) | {2x}: ``_grow`` extends the words of a whole batch
 by one position with a few in-place word operations. Random samples share
 no such prefix, so sampling classifies each batch from scratch with
-``_word_counts``. Only wider sets (sampling with n > 32, or a cardinality
-scan past diameter 31) take the per-set big-integer loop ``_mask_counts``.
+``_word_counts``. Wider sets (sampling with n > 32, or a cardinality scan
+past diameter 31) are counted one at a time by the big-integer loop
+``_mask_counts``.
 
 Each chunk worker returns (examined, mstd, mdts, balanced, witnesses),
 which ``search._scan`` folds into a report.
@@ -21,7 +22,7 @@ which ``search._scan`` folds into a report.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import combinations, islice
+from itertools import combinations
 from operator import or_
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -34,8 +35,6 @@ from .search import _WITNESS_CAP, _subsets_up_to
 _BATCH = 1 << 14
 # widest set the kernel takes: its sum and difference words then need 63 bits
 _WORD_WIDTH = 32
-# Row block for the chunked outer-sum fallback on very wide sets.
-_OUTER_BLOCK = 256
 
 
 def _mask_counts(bits: int, span: int) -> tuple[int, int]:
@@ -177,20 +176,6 @@ def _grow_tally(sums: np.ndarray, pdiffs: np.ndarray) -> tuple[np.ndarray, int, 
     return hits, int(np.count_nonzero(hits)), int(np.count_nonzero(sums_1 < diffs_1))
 
 
-def _classify(bits: np.ndarray | Sequence[int], width: int) -> np.ndarray:
-    """Sign of |A+A| - |A-A| for each set of a batch inside [0, width).
-
-    Batches up to width 32 are ``uint64`` arrays and go through the word
-    kernel; wider ones are Python integers and go through ``_mask_counts``.
-    """
-    if width <= _WORD_WIDTH:
-        sums, diffs = _word_counts(bits, width)
-        return np.sign(np.bitwise_count(sums).astype(np.int8)
-                       - np.bitwise_count(diffs).astype(np.int8))
-    return np.array([(s > f) - (s < f) for s, f in
-                     (_mask_counts(b, width - 1) for b in bits)], dtype=np.int8)
-
-
 def _elements(bits: int, offset: int = 0) -> tuple[int, ...]:
     """The set encoded by ``bits``, each element shifted by ``offset``."""
     return tuple(i + offset for i in range(bits.bit_length()) if (bits >> i) & 1)
@@ -243,16 +228,17 @@ def _card_chunk(task: tuple[int, int]) -> tuple[int, int, int, int, list[tuple]]
     for j in range(j_max + 1):
         # combinations() copies its pool even for j = 0, which would cost
         # O(d) per diameter in the common card_max = 2 scan
-        combos = combinations(range(1, d), j) if j else iter([()])
-        while batch := list(islice(combos, _BATCH)):
-            signs = _classify([endpoints | sum(1 << c for c in combo) for combo in batch], d + 1)
-            total += len(batch)
-            mstd += int(np.count_nonzero(signs > 0))
-            mdts += int(np.count_nonzero(signs < 0))
-            # sizes come in increasing order and each size's combinations in
-            # lexicographic order, so the first hits are the smallest
-            for i in np.flatnonzero(signs > 0)[:_WITNESS_CAP - len(witnesses)].tolist():
-                witnesses.append((j + 2, d, (0, *batch[i], d)))
+        for combo in combinations(range(1, d), j) if j else [()]:
+            s, f = _mask_counts(endpoints | sum(1 << c for c in combo), d)
+            total += 1
+            if s > f:
+                mstd += 1
+                # sizes come in increasing order and each size's combinations
+                # in lexicographic order, so the first hits are the smallest
+                if len(witnesses) < _WITNESS_CAP:
+                    witnesses.append((j + 2, d, (0, *combo, d)))
+            elif s < f:
+                mdts += 1
     return total, mstd, mdts, total - mstd - mdts, witnesses
 
 
@@ -271,9 +257,13 @@ def _sample_chunk(task: tuple[int, int, int, int]) -> tuple[int, int, int, int, 
         words = np.zeros((count, 8), dtype=np.uint8)
         words[:, :packed.shape[1]] = packed
         bits = words.view("<u8").ravel()
+        sums, diffs = _word_counts(bits, n)  # count <= _SAMPLE_CHUNK <= _BATCH
+        signs = np.sign(np.bitwise_count(sums).astype(np.int8)
+                        - np.bitwise_count(diffs).astype(np.int8))
     else:
         bits = [int.from_bytes(row.tobytes(), "little") for row in packed]
-    signs = _classify(bits, n)  # count <= _SAMPLE_CHUNK <= _BATCH
+        signs = np.array([(s > f) - (s < f) for s, f in
+                          (_mask_counts(b, n - 1) for b in bits)], dtype=np.int8)
     mdts, bal, mstd = (int(c) for c in np.bincount(signs + 1, minlength=3))
     witnesses = [(chunk_index, row_index, _elements(int(bits[row_index]), 1))
                  for row_index in np.flatnonzero(signs > 0)[:_WITNESS_CAP].tolist()]
@@ -295,19 +285,3 @@ def _fill2_seed_scan(n: int) -> list[tuple[int, ...]]:
         found += (_elements(b, 1) for b in bits[keep].tolist())
     return found
 
-
-def _outer_unique(elements: Sequence[int], subtract: bool = False) -> tuple[int, ...]:
-    """Distinct pairwise sums (or differences) of a set's elements, ascending.
-
-    Pairs are formed in row blocks. The pairwise results themselves are
-    known to fit int64 before this is called; subtraction is done directly
-    so no intermediate negation can wrap.
-    """
-    els = np.array(elements, dtype=np.int64)
-    op = np.subtract if subtract else np.add
-    parts = [
-        np.unique(op(els[i:i + _OUTER_BLOCK, None], els[None, :]))
-        for i in range(0, len(els), _OUTER_BLOCK)
-    ]
-    out = np.unique(np.concatenate(parts)) if len(parts) > 1 else parts[0]
-    return tuple(out.tolist())

@@ -11,6 +11,7 @@ from mstd_chains import (ChainBreakError, ChainRecord, ChainStep,
                          nonfill_chain, nonfill_explicit_mstd, oracle_profile,
                          profile, thm31_chain, verify_chain)
 from mstd_chains import chains as chains_module
+from mstd_chains import constructions
 
 from .conftest import THM31_GENERAL, THM31_STRICT, run_python
 
@@ -160,6 +161,20 @@ def test_nonfill_verifies_clean():
     assert report.passed
     assert [c.name for c in report.checks] == ["profiles", "nesting",
                                                "alternation", "no_fill_in"]
+
+
+def test_nonfill_builds_each_mstd_step_once(monkeypatch):
+    calls = []
+    build = constructions.nonfill_explicit_mstd
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(constructions, "nonfill_explicit_mstd", counting)
+    monkeypatch.setattr(chains_module, "nonfill_explicit_mstd", counting)
+    nonfill_chain(10)
+    assert len(calls) == 5
 
 
 # ---------------------------------------------------------------------------

@@ -256,13 +256,14 @@ def test_unknown_command(capsys):
 # ---------------------------------------------------------------------------
 
 def test_non_search_commands_load_neither_numpy_nor_multiprocessing(tmp_path):
-    # only the search kernels and the wide-set fallback need numpy
+    # only the search kernels need numpy; a wide set is counted without it
     chain_file = tmp_path / "chain.json"
     script = (
         "import contextlib, io, sys\n"
         "from mstd_chains.cli import cli_main\n"
         "commands = [\n"
         "    ['analyze', '0,2,3,4,7,11,12,14'],\n"
+        "    ['analyze', '0,5,1099511627776,1099511627779'],\n"
         "    ['chain', '--method', 'fill1', '--seed-set', '0,2,3,4,7,11,12,14',\n"
         "     '--steps', '7', '--verify'],\n"
         "    ['chain', '--method', 'fill2', '--L', '1,3,4,8,9', '--R',\n"

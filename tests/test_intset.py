@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from mstd_chains import (ArithmeticRangeError, Classification, IntegerSet,
                          InvalidParameterError, affine, classify, diffset,
-                         is_pn, profile, sumset, symmetry_center)
+                         is_pn, oracle_profile, profile, sumset, symmetry_center)
 
-from .conftest import naive_diffs, naive_sums
+from .conftest import CONWAY, naive_diffs, naive_sums
 
 sets_strategy = st.builds(
     IntegerSet, st.sets(st.integers(-300, 300), min_size=1, max_size=40)
@@ -49,10 +49,20 @@ def test_sumset_overflow_rejected():
 
 
 def test_wide_sets_use_exact_fallback():
-    # far beyond the dense bit-vector window
-    wide = IntegerSet([0, 5, 2 ** 40, 2 ** 40 + 3])
-    assert set(sumset(wide)) == naive_sums(wide)
-    assert set(diffset(wide)) == naive_diffs(wide)
+    # far beyond the dense bit-vector window (a singleton never is)
+    for elements in [
+        [0, 5, 2 ** 40, 2 ** 40 + 3],
+        # a dilated Conway set: many sums coincide across rows of the pair table
+        affine(IntegerSet(CONWAY), 2 ** 40 + 1, -2 ** 50).to_list(),
+        [-2 ** 45, -17, -3, 2 ** 33],
+        [2 ** 62 - 1],
+        [-2 ** 40, 2 ** 40],
+        [-2 ** 62, 0, 2 ** 62 - 1],
+    ]:
+        wide = IntegerSet(elements)
+        assert sumset(wide).to_list() == sorted(naive_sums(wide)), elements
+        assert diffset(wide).to_list() == sorted(naive_diffs(wide)), elements
+        assert profile(wide) == oracle_profile(wide), elements
 
 
 @given(sets_strategy)

@@ -1,0 +1,27 @@
+"""Which package modules may import numpy, and which may import the kernels."""
+
+import ast
+
+from .conftest import REPO
+
+
+def _imported(path) -> set[str]:
+    """The top-level names of every module ``path`` imports, package-relative."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            names.add(module)
+            # "from . import kernels" imports a module under an alias
+            names.update(f"{module}.{alias.name}" for alias in node.names)
+    return {n.removeprefix("mstd_chains").strip(".").split(".")[0] for n in names}
+
+
+def test_only_kernels_imports_numpy_and_only_search_imports_kernels():
+    modules = {path.stem: _imported(path)
+               for path in (REPO / "src" / "mstd_chains").glob("*.py")}
+    assert {"kernels", "search", "intset"} <= modules.keys()
+    assert {m for m, names in modules.items() if "numpy" in names} == {"kernels"}
+    assert {m for m, names in modules.items() if "kernels" in names} == {"search"}

@@ -319,6 +319,16 @@ def test_card_chunk_spans_batches_and_matches_recount(task):
     assert _card_chunk(task) == expected
 
 
+def test_per_set_branches_match_word_kernels(monkeypatch):
+    # Conway-type 8-element sets are MSTD witnesses at d = 14
+    card, sample = _card_chunk((14, 6)), _sample_chunk((5, 0, 4096, 30))
+    assert card[1] > 0 and sample[1] > 0
+    # a narrower word sends both workers down their per-set big-integer branch
+    monkeypatch.setattr(kernels, "_WORD_WIDTH", 8)
+    assert _card_chunk((14, 6)) == card
+    assert _sample_chunk((5, 0, 4096, 30)) == sample
+
+
 # ---------------------------------------------------------------------------
 # the incremental kernel
 # ---------------------------------------------------------------------------
