@@ -121,7 +121,8 @@ def chain_from_json(text: str, no_fill_in_required: bool = False) -> ChainRecord
     """
     try:
         rows = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # not JSON, an integer past int()'s digit limit, or nesting too deep
         raise InvalidParameterError(f"chain JSON: {exc}") from None
     if not isinstance(rows, list) or not rows:
         raise InvalidParameterError("chain JSON: expected a nonempty array of steps")

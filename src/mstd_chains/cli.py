@@ -146,7 +146,7 @@ def _load_chain(path: str, no_fill_in: bool):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidParameterError(f"cannot read {path}: {exc}") from None
     return chain_from_json(text, no_fill_in_required=no_fill_in)
 

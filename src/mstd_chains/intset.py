@@ -44,8 +44,12 @@ DENSE_DIAMETER_LIMIT = 1 << 26
 # whose cost does not grow with the window.
 _ALGEBRA_BITS_PER_ELEMENT = 16
 
-# Most pairs the pairwise fallback lists for one set: 10**4 elements.
-_WIDE_PAIR_LIMIT = 10 ** 8
+# Most bytes the pairwise fallback may hold for one set (4095 elements).
+# Each of the k(k + 1) / 2 pairs it lists costs at most _PAIR_BYTES at the
+# peak: a list slot and an int object, then a dict entry and a tuple slot
+# (under tracemalloc at most 113 bytes, for ints near 2**63).
+_WIDE_BYTE_LIMIT = 1 << 30
+_PAIR_BYTES = 128
 
 # One token of a set literal: an ASCII decimal integer.
 _TOKEN = re.compile(r"-?[0-9]+")
@@ -219,7 +223,11 @@ class IntegerSet:
                 raise InvalidParameterError(
                     f"set literal: token {pos} ({token!r}) is not an integer"
                 )
-            value = int(token)
+            try:
+                value = int(token)
+            except ValueError:  # more digits than int() converts
+                raise InvalidParameterError(
+                    f"set literal: token {pos} has too many digits") from None
             if items and value <= items[-1]:
                 raise InvalidParameterError(
                     f"set literal: token {pos} ({token!r}) is not strictly increasing"
@@ -473,10 +481,11 @@ def _check_diff_range(a: IntegerSet) -> None:
 
 
 def _check_pair_budget(a: IntegerSet, op: str) -> None:
-    if len(a) ** 2 > _WIDE_PAIR_LIMIT:
+    k = len(a)
+    if _PAIR_BYTES * k * (k + 1) // 2 > _WIDE_BYTE_LIMIT:
         raise ResourceLimitError(
-            f"{op}: {len(a)} elements over a diameter above {DENSE_DIAMETER_LIMIT} "
-            f"would need more than {_WIDE_PAIR_LIMIT} pairs")
+            f"{op}: {k} elements over a diameter above {DENSE_DIAMETER_LIMIT} "
+            f"would need more than {_WIDE_BYTE_LIMIT} bytes")
 
 
 def _pair_values(els: Sequence[int], subtract: bool) -> tuple[int, ...]:

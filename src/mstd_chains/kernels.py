@@ -9,7 +9,11 @@ A set inside [0, 32) is one ``uint64`` word, and so are its sum and
 difference words. The exhaustive, cardinality and seed scans build each
 set from one with an element fewer, since (A | {x}) + (A | {x}) =
 (A + A) | (A + x) | {2x}: ``_grow`` extends the words of a whole batch
-by one position with a few in-place word operations. Random samples share
+by one position with a few in-place word operations. Without a size
+limit (exhaustive and seed scans) a batch doubles once per position; with
+one (cardinality scans) it grows by size layers, each layer one gather of
+its parents' words from the layer before, so its cost does not grow with
+the number of positions a limit leaves out. Random samples share
 no such prefix, so sampling classifies each batch from scratch with
 ``_word_counts``. Wider sets (sampling with n > 32, or a cardinality scan
 past diameter 31) are counted one at a time by the big-integer loop
@@ -21,7 +25,8 @@ which ``search._scan`` folds into a report.
 
 from __future__ import annotations
 
-from functools import reduce
+import math
+from functools import lru_cache, reduce
 from itertools import combinations
 from operator import or_
 from typing import Iterable, Iterator, Optional, Sequence
@@ -92,19 +97,25 @@ def _grow(base: int, positions: Sequence[int], max_size: Optional[int] = None
     """Words of every set ``base | T``, T a subset of ``positions``, in batches.
 
     Yields (bits, sums, pdiffs) batches of at most ``_BATCH`` sets, and only
-    sets with |T| <= ``max_size`` when it is given. Across the batches, set
-    i is the binary counter i over ``positions`` (bit k of i stands for
-    ``positions[k]``), in increasing i. Bit i of a sum word stands for the
-    sum i and bit i of a ``pdiffs`` word for the difference i >= 0, so
-    |A+A| is the popcount of ``sums`` and |A-A| is twice that of ``pdiffs``
-    minus one. Elements lie in [0, 32) and no position is in ``base``.
-    Every batch is a view of one buffer, overwritten by the next batch.
+    sets with |T| <= ``max_size`` when it is given. Without ``max_size``,
+    set i across the batches is the binary counter i over ``positions``
+    (bit k of i stands for ``positions[k]``), in increasing i. With it, a
+    request splits into batches as the counter would, but within a batch
+    that leaves some position out the sets come by |T| and then in colex
+    order. Bit i of a sum word stands for the sum i and bit i of a
+    ``pdiffs`` word for the difference i >= 0, so |A+A| is the popcount of
+    ``sums`` and |A-A| is twice that of ``pdiffs`` minus one. Elements lie
+    in [0, 32) and no position is in ``base``. Every batch is a view of one
+    buffer, overwritten by the next batch.
     """
     batches = list(_split(base, positions, max_size))
     most = max((_subsets_up_to(len(p), j) for _, p, j in batches), default=0)
     words = np.empty((4, most), dtype=np.uint64)
-    for batch in batches:
-        yield _grow_batch(*batch, words)
+    for base, positions, limit in batches:
+        if limit < len(positions):
+            yield _layer_batch(base, positions, limit, words)
+        else:
+            yield _grow_batch(base, positions, words)
 
 
 def _split(base: int, positions: Sequence[int], max_size: Optional[int]
@@ -126,33 +137,37 @@ def _split(base: int, positions: Sequence[int], max_size: Optional[int]
                       None if max_size is None else max_size - 1)
 
 
-def _grow_batch(base: int, positions: Sequence[int], limit: int, words: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One ``_grow`` batch: the sets base | T with |T| <= limit, level by level.
+def _start(base: int, positions: Sequence[int], total: int, words: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``total`` columns of ``words``, column 0 holding the words of
+    ``base``, and per position x the shifts (x, 31 - x).
 
-    Level k appends, for each set so far with room to grow, the set with
-    x = ``positions[k]`` added. From (A | {x}) + (A | {x}) = (A + A) | (A + x)
-    | {2x}, its words cost eight word operations in five ufunc calls: the
-    rows of ``words`` hold each set's bits, its bits reversed (so that the
+    The rows hold each set's bits, its bits reversed (so that the
     differences x - a come from one shift), its sums and its nonnegative
-    differences, and pairs of rows are updated together.
+    differences.
     """
-    m = len(positions)
-    total = _subsets_up_to(m, limit)
     w = words[:, :total]
-    # |T| per set, kept only when some sets stop growing
-    size = np.zeros(total, dtype=np.uint8) if limit < m else None
     elements = _elements(base)
     w[:, 0] = (base, sum(1 << (_WORD_WIDTH - 1 - a) for a in elements),
                reduce(or_, (base << a for a in elements), 0),
                reduce(or_, (base >> a for a in elements), 0))
-    # per level, the column (x, 31 - x) and the matching bits
-    shifts = np.array([positions, [_WORD_WIDTH - 1 - x for x in positions]], dtype=np.uint64)
+    return w, np.array([positions, [_WORD_WIDTH - 1 - x for x in positions]], dtype=np.uint64)
+
+
+def _grow_batch(base: int, positions: Sequence[int], words: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One ``_grow`` batch: every set base | T, level by level.
+
+    Level k appends, for each set so far, the set with x = ``positions[k]``
+    added. From (A | {x}) + (A | {x}) = (A + A) | (A + x) | {2x}, its words
+    cost eight word operations in five ufunc calls, with pairs of rows
+    updated together.
+    """
+    w, shifts = _start(base, positions, 1 << len(positions), words)
     marks = np.left_shift(np.uint64(1), shifts)
     n = 1
-    for level in range(m):
-        src = slice(0, n) if level < limit else np.flatnonzero(size[:n] < limit)
-        new = slice(n, n + (n if level < limit else src.size))
+    for level in range(len(positions)):
+        src, new = slice(0, n), slice(n, 2 * n)
         shift = shifts[:, level:level + 1]
         np.bitwise_or(w[:2, src], marks[:, level:level + 1], out=w[:2, new])
         # scratch: sums row <- a - x for a >= x, differences row <- x - a for a <= x
@@ -160,9 +175,51 @@ def _grow_batch(base: int, positions: Sequence[int], limit: int, words: np.ndarr
         np.bitwise_or(w[3, new], w[2, new], out=w[3, new])
         np.left_shift(w[0, new], shift[0], out=w[2, new])  # a + x
         np.bitwise_or(w[2:, src], w[2:, new], out=w[2:, new])
-        if size is not None:
-            np.add(size[src], 1, out=size[new])
-        n = new.stop
+        n *= 2
+    return w[0], w[2], w[3]
+
+
+@lru_cache(maxsize=64)
+def _plan(m: int, limit: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per layer j < ``limit``, the (source, position) indices that build layer j + 1.
+
+    Layer j lists the j-subsets of range(m) in colex order, so those inside
+    range(k) are its first C(k, j). Layer j + 1 is, for k = j, ..., m - 1,
+    each of those with k added: entry i takes set ``source[i]`` of layer j
+    and adds position ``position[i]``.
+    """
+    layers = []
+    for j in range(limit):
+        counts = [math.comb(k, j) for k in range(j, m)]
+        layers.append((np.concatenate([np.arange(c) for c in counts]),
+                       np.repeat(np.arange(j, m), counts)))
+    return tuple(layers)
+
+
+def _layer_batch(base: int, positions: Sequence[int], limit: int, words: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One ``_grow`` batch with a size limit: the sets base | T with |T| <= limit,
+    layer by layer in |T|.
+
+    Each layer is one gather of its parents' four words from the layer
+    before, then the word updates of ``_grow_batch`` with a shift per set,
+    so a batch costs a few numpy calls per layer, not per position.
+    """
+    w, shifts = _start(base, positions, _subsets_up_to(len(positions), limit), words)
+    one = np.uint64(1)
+    start, stop = 0, 1
+    for source, position in _plan(len(positions), limit):
+        new = w[:, stop:stop + source.size]
+        np.take(w[:, start:stop], source, axis=1, out=new, mode="clip")
+        shift = np.take(shifts, position, axis=1, mode="clip")
+        scratch = np.left_shift(one, shift)  # first the bits of x and of 31 - x
+        np.bitwise_or(new[:2], scratch, out=new[:2])
+        # scratch <- a - x for a >= x, and x - a for a <= x
+        np.right_shift(new[:2], shift, out=scratch)
+        np.bitwise_or(scratch[1], scratch[0], out=scratch[1])
+        np.left_shift(new[0], shift[0], out=scratch[0])  # a + x
+        np.bitwise_or(new[2:], scratch, out=new[2:])
+        start, stop = stop, stop + source.size
     return w[0], w[2], w[3]
 
 
@@ -252,15 +309,16 @@ def _sample_chunk(task: tuple[int, int, int, int]) -> tuple[int, int, int, int, 
     seed, chunk_index, count, n = task
     rng = np.random.default_rng([seed, chunk_index])
     rows = rng.integers(0, 2, size=(count, n), dtype=np.uint8)
-    packed = np.packbits(rows, axis=1, bitorder="little")
     if n <= _WORD_WIDTH:
-        words = np.zeros((count, 8), dtype=np.uint8)
-        words[:, :packed.shape[1]] = packed
-        bits = words.view("<u8").ravel()
+        # one packbits call over the whole block, four bytes per row
+        padded = np.zeros((count, _WORD_WIDTH), dtype=np.uint8)
+        padded[:, :n] = rows
+        bits = np.packbits(padded, bitorder="little").view("<u4").astype(np.uint64)
         sums, diffs = _word_counts(bits, n)  # count <= _SAMPLE_CHUNK <= _BATCH
         signs = np.sign(np.bitwise_count(sums).astype(np.int8)
                         - np.bitwise_count(diffs).astype(np.int8))
     else:
+        packed = np.packbits(rows, axis=1, bitorder="little")
         bits = [int.from_bytes(row.tobytes(), "little") for row in packed]
         signs = np.array([(s > f) - (s < f) for s, f in
                           (_mask_counts(b, n - 1) for b in bits)], dtype=np.int8)

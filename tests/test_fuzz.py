@@ -1,0 +1,95 @@
+"""Fuzzed parser and CLI inputs: a value, a named error or exit code 0/1/2."""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from mstd_chains import (ArithmeticRangeError, ChainBreakError, IntegerSet,
+                         InvalidParameterError, ResourceLimitError, chain_from_json,
+                         chain_to_json, nonfill_chain)
+from mstd_chains.cli import cli_main
+
+NAMED_ERRORS = (InvalidParameterError, ArithmeticRangeError, ResourceLimitError,
+                ChainBreakError)
+
+# ints on both sides of the signed 64-bit range
+integers = st.integers(-50, 50) | st.integers(-(1 << 64), 1 << 64)
+tokens = integers.map(str) | st.text(alphabet="-+_ 0123456789٣x.e", max_size=6)
+literals = (st.text()
+            | st.lists(tokens, min_size=1, max_size=12).map(",".join)
+            | st.lists(integers, min_size=1, max_size=12, unique=True)
+            .map(lambda xs: ",".join(map(str, sorted(xs)))))
+
+json_values = st.recursive(
+    st.none() | st.booleans() | integers | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                                  max_size=4),
+    max_leaves=12)
+rows = st.fixed_dictionaries(
+    {},
+    optional={"elements": st.lists(integers, max_size=8) | json_values,
+              "classification": st.sampled_from(["MSTD", "MDTS", "BALANCED"]) | json_values,
+              **{key: integers | json_values
+                 for key in ("index", "card", "diam", "sums", "diffs")}})
+chain_texts = (st.text()
+               | json_values.map(json.dumps)
+               | st.lists(rows | json_values, max_size=4).map(json.dumps))
+
+VALID_CHAIN = chain_to_json(nonfill_chain(4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(literals)
+@example("1" * 5000)   # more digits than int() converts
+@example("0, 9223372036854775808")
+@example("")
+def test_from_text_returns_a_set_or_a_named_error(text):
+    try:
+        result = IntegerSet.from_text(text)
+    except NAMED_ERRORS:
+        return
+    assert isinstance(result, IntegerSet)
+
+
+@settings(max_examples=300, deadline=None)
+@given(chain_texts)
+@example("1" * 5000)
+@example("[" * 100_000)  # nesting deeper than the JSON decoder recurses
+@example(VALID_CHAIN)
+def test_chain_from_json_returns_a_chain_or_a_named_error(text):
+    try:
+        chain_from_json(text)
+    except NAMED_ERRORS:
+        pass
+
+
+def _exit_code(*argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli_main(list(argv))
+
+
+@settings(max_examples=150, deadline=None)
+@given(literals)
+@example("1" * 5000)
+@example("-1,2")
+def test_analyze_exits_0_1_or_2(text):
+    assert _exit_code("analyze", text) in (0, 1, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.binary() | chain_texts.map(str.encode),
+       st.sampled_from([("verify",), ("verify", "--no-fill-in"), ("table", "--format", "csv")]))
+@example(b"[" * 100_000, ("verify",))
+@example(b"\xff\xfe[", ("table", "--format", "csv"))  # not UTF-8
+@example(VALID_CHAIN.encode(), ("verify", "--no-fill-in"))
+def test_chain_file_commands_exit_0_1_or_2(data, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "chain.json")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        assert _exit_code(*command, path) in (0, 1, 2)

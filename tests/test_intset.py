@@ -293,13 +293,44 @@ def test_wide_fallback_refuses_before_allocating(monkeypatch):
     with pytest.raises(ResourceLimitError):
         IntegerSet.interval(0, DENSE_DIAMETER_LIMIT + 1)
     assert time.perf_counter() - start < 1.0
-    # the budget counts pairs: a set right at it still runs
-    monkeypatch.setattr(intset, "_WIDE_PAIR_LIMIT", 100)
+    # the budget counts the bytes of k(k + 1) / 2 pairs: a set right at it still runs
+    monkeypatch.setattr(intset, "_WIDE_BYTE_LIMIT", intset._PAIR_BYTES * 55)
     edge = IntegerSet(list(range(9)) + [10 ** 12])
     assert set(sumset(edge)) == naive_sums(edge)
     assert set(diffset(edge)) == naive_diffs(edge)
     with pytest.raises(ResourceLimitError):
         sumset(IntegerSet(list(range(10)) + [10 ** 12]))
+
+
+def test_wide_fallback_budget_bounds_its_bytes():
+    import tracemalloc
+
+    from mstd_chains import ResourceLimitError, intset
+
+    # the per-pair estimate bounds what the fallback holds, even for the
+    # largest ints it meets (sums and differences near 2**63)
+    k = 300
+    near_top = IntegerSet([(1 << 62) - 1 - (1 << 40) * i for i in range(k)])
+    for op in (sumset, diffset):
+        tracemalloc.start()
+        try:
+            op(near_top)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= intset._PAIR_BYTES * k * (k + 1) // 2
+    # 4096 elements are the fewest the 2**30-byte budget refuses, and the
+    # refusal comes before the pairs are listed
+    over = IntegerSet(list(range(4095)) + [10 ** 12])
+    tracemalloc.start()
+    try:
+        for op in (sumset, diffset, profile):
+            with pytest.raises(ResourceLimitError):
+                op(over)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 def test_dense_sparse_boundary_agreement():

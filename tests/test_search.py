@@ -1,6 +1,7 @@
 import json
 import os
 import time
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -367,19 +368,33 @@ def test_grow_matches_referee_on_every_small_set():
     assert _grown(1 << 3 | 1 << 8, free) == _counter_order(1 << 3 | 1 << 8, free)
 
 
-def test_grow_max_size_keeps_counter_order():
+def _size_colex_order(base, positions, max_size):
+    """base | T for |T| <= max_size, by |T| and then in colex order, with its counts."""
+    out = []
+    for j in range(max_size + 1):
+        # colex: compare the largest position first
+        for combo in sorted(combinations(range(len(positions)), j), key=lambda c: c[::-1]):
+            bits = base | sum(1 << positions[k] for k in combo)
+            out.append((bits, *_mask_counts(bits, bits.bit_length() - 1)))
+    return out
+
+
+def test_grow_max_size_yields_size_then_colex_order():
     d = 12
     base = 1 | 1 << 5 | 1 << d
     free = [p for p in range(d + 1) if not (base >> p) & 1]
     for max_size in range(d + 1):
-        assert _grown(base, free, max_size) == _counter_order(base, free, max_size)
+        # a limit that leaves no position out is the unbounded request
+        expected = (_size_colex_order(base, free, max_size) if max_size < len(free)
+                    else _counter_order(base, free))
+        assert _grown(base, free, max_size) == expected
     assert _grown(base, free, -1) == []
 
 
 def test_grow_at_full_width_does_not_overflow():
     # 31 as a base element and as a grown position, every word at its widest
     free = list(range(1, 31, 2)) + [31]
-    assert _grown(1, free, 3) == _counter_order(1, free, 3)
+    assert _grown(1, free, 3) == _size_colex_order(1, free, 3)
     free = [0, 30, 29, 1]
     assert _grown(1 << 31, free) == _counter_order(1 << 31, free)
 
@@ -387,13 +402,16 @@ def test_grow_at_full_width_does_not_overflow():
 def test_grow_split_matches_unsplit(monkeypatch):
     base, free = 1 | 1 << 17, list(range(1, 17))
     whole = _grown(base, free)
-    limited = _grown(base, free, 6)
+    limited = sorted(_grown(base, free, 6))
+    assert limited == sorted(_counter_order(base, free, 6))
     chunks = {task: _enum_chunk(task) for task in [(17, 0, 1 << 14), (17, 1 << 14, 1 << 15)]}
     cards = {task: _card_chunk(task) for task in [(20, 5), (31, 3), (18, 8)]}
     seeds = find_fill2_seeds(9)
     monkeypatch.setattr(kernels, "_BATCH", 1 << 5)
     assert _grown(base, free) == whole
-    assert _grown(base, free, 6) == limited
+    # bounded batches are ordered by size within each batch, so compare as
+    # sorted lists, which still differ on a missing, extra or repeated set
+    assert sorted(_grown(base, free, 6)) == limited
     for task, expected in chunks.items():
         assert _enum_chunk(task) == expected
     for task, expected in cards.items():
@@ -403,14 +421,16 @@ def test_grow_split_matches_unsplit(monkeypatch):
 
 def test_no_kernel_call_holds_more_than_the_cap(monkeypatch):
     sizes = []
-    batch = kernels._grow_batch
 
-    def recording(*args):
-        out = batch(*args)
-        sizes.append(out[0].size)
-        return out
+    def recording(builder):
+        def record(*args):
+            out = builder(*args)
+            sizes.append(out[0].size)
+            return out
+        return record
 
-    monkeypatch.setattr(kernels, "_grow_batch", recording)
+    for name in ("_grow_batch", "_layer_batch"):
+        monkeypatch.setattr(kernels, name, recording(getattr(kernels, name)))
     total = exhaustive_by_diameter(21).total_examined
     total += min_cardinality_scan(31, 6).total_examined
     total += sum(min_cardinality_scan(d, d + 1).total_examined for d in (19, 20))
