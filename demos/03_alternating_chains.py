@@ -33,7 +33,7 @@ print(emit_table(ts))
 # Chains are streamed lazily; a step budget is all that bounds them.
 print("first elements added at each of 12 lazy non-fill steps:")
 previous = None
-for a, _params in islice(iter_nonfill_chain(), 12):
+for a in islice(iter_nonfill_chain(), 12):
     fresh = a if previous is None else a.difference(previous)
     print("  +", fresh.to_text())
     previous = a

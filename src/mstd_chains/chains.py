@@ -6,28 +6,29 @@ inside the previous set's span, so every gap stays a gap forever
 ("nonfill", the explicit sequence, and "thm31", the fringe-shift method
 whose difference-dominated steps are found by search).
 
-Each method has a lazy iterator yielding steps on demand plus a
-convenience wrapper that materializes a :class:`ChainRecord` with profiles
-and per-step parameters. :func:`verify_chain` re-derives everything from
-scratch and reports each check with witnesses. The two chain rules, proper
-nesting and strict MSTD/MDTS alternation, are written once: the wrappers
-raise on the first witness of a broken rule, and verification lists them
-all. Whether gaps must stay gaps is carried by the record itself
-(``ChainRecord.no_fill_in_required``).
+Each method has a lazy iterator yielding its steps on demand, as bare
+:class:`IntegerSet` objects, plus a convenience wrapper that materializes
+a :class:`ChainRecord` with profiles. The iterators build their steps
+with the constructions' unchecked private builders, since the wrappers
+profile every step anyway. :func:`verify_chain` re-derives everything
+from scratch and reports each check with witnesses. The two chain rules,
+proper nesting and strict MSTD/MDTS alternation, are written once: the
+wrappers raise on the first witness of a broken rule, and verification
+lists them all. Whether gaps must stay gaps is carried by the record
+itself (``ChainRecord.no_fill_in_required``).
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .constructions import (MultiDimAP, NathansonParams, _check_fringe_seed,
-                            _nonfill_add_point, interval_minus_point,
-                            mdts_interval_plus_point, nathanson_mstd,
-                            nonfill_explicit_mstd, thm31_base)
+                            _hole_interval, _nonfill_add_point, _nonfill_mstd,
+                            mdts_interval_plus_point, nathanson_mstd, thm31_base)
 from .errors import ChainBreakError, InvalidParameterError
 from .intset import (Classification, IntegerSet, SetProfile, affine, classify,
                      profile)
@@ -38,12 +39,11 @@ METHOD_TAGS = ("fill1", "fill2", "nonfill", "thm31")
 
 @dataclass(frozen=True)
 class ChainStep:
-    """One set of a chain with its profile and the parameters that built it."""
+    """One set of a chain with its profile."""
 
     index: int
     set: IntegerSet
     profile: SetProfile
-    params: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -58,12 +58,6 @@ class ChainRecord:
     method: Optional[str]
     steps: tuple[ChainStep, ...]
     no_fill_in_required: bool = False
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def sets(self) -> list[IntegerSet]:
-        return [s.set for s in self.steps]
 
     def ratios(self) -> list[tuple[Optional[Fraction], Optional[Fraction]]]:
         """Per-step (cardinality ratio, diameter ratio) vs the previous step.
@@ -171,12 +165,12 @@ def _rule_witnesses(steps: Sequence[ChainStep], profiles: Sequence[SetProfile]
     return nesting, alternation
 
 
-def _assemble(method: str, stream: Iterator[tuple[IntegerSet, dict]],
+def _assemble(method: str, stream: Iterable[IntegerSet],
               num_steps: int, no_fill_in_required: bool) -> ChainRecord:
     if num_steps < 1:
         raise InvalidParameterError("chain: num_steps must be >= 1")
-    steps = [ChainStep(index=index, set=current, profile=profile(current), params=params)
-             for index, (current, params) in zip(range(1, num_steps + 1), stream)]
+    steps = [ChainStep(index=index, set=current, profile=profile(current))
+             for index, current in zip(range(1, num_steps + 1), stream)]
     nesting, alternation = _rule_witnesses(steps, [s.profile for s in steps])
     if nesting or alternation:
         # the generators are theorem-backed; a violation here is a bug
@@ -185,7 +179,7 @@ def _assemble(method: str, stream: Iterator[tuple[IntegerSet, dict]],
                        no_fill_in_required=no_fill_in_required)
 
 
-def iter_fill1_chain(seed: IntegerSet) -> Iterator[tuple[IntegerSet, dict]]:
+def iter_fill1_chain(seed: IntegerSet) -> Iterator[IntegerSet]:
     """Endless fill-in chain: interval-plus-point MDTS steps alternating
     with interval-with-hole MSTD steps, starting from any MSTD seed.
 
@@ -194,23 +188,19 @@ def iter_fill1_chain(seed: IntegerSet) -> Iterator[tuple[IntegerSet, dict]]:
     """
     if classify(seed) != Classification.MSTD:
         raise InvalidParameterError("fill1_chain: seed must be MSTD")
-    shift = -seed.min
-    current = affine(seed, 1, shift)
-    yield current, {"translation": shift}
+    current = affine(seed, 1, -seed.min)
+    yield current
     while True:
         m = current.max
         # the MSTD step is an interval of length n = p + 2 for odd p and
         # p + 5 for even p, so the shortest comes from the least odd p > m + 1
         p = m + 3 - m % 2
-        current, surplus = mdts_interval_plus_point(m, p)
-        yield current, {"m": m, "p": p, "surplus": surplus}
+        yield mdts_interval_plus_point(m, p)[0]
         n = p + 2
         r = n - 3  # p - 1 > m, so the hole misses [0, m] | {p}
-        base = interval_minus_point(n, r, check=False)
-        current = nathanson_mstd(
-            NathansonParams(m=n, B=base, lstar=MultiDimAP.point(r), k=2)
-        )
-        yield current, {"m": n, "r": r, "k": 2}
+        current = nathanson_mstd(NathansonParams(m=n, B=_hole_interval(n, r),
+                                                 lstar=MultiDimAP.point(r), k=2))
+        yield current
 
 
 def fill1_chain(seed: IntegerSet, num_steps: int) -> ChainRecord:
@@ -218,8 +208,7 @@ def fill1_chain(seed: IntegerSet, num_steps: int) -> ChainRecord:
                      no_fill_in_required=False)
 
 
-def iter_fill2_chain(L: IntegerSet, R: IntegerSet, n: int
-                     ) -> Iterator[tuple[IntegerSet, dict]]:
+def iter_fill2_chain(L: IntegerSet, R: IntegerSet, n: int) -> Iterator[IntegerSet]:
     """Endless fill-in chain with linear growth.
 
     After the seed, step 2l is the filled interval [(1-l)n, (l+1)n] minus
@@ -231,13 +220,12 @@ def iter_fill2_chain(L: IntegerSet, R: IntegerSet, n: int
     if n in L or n in R:
         raise InvalidParameterError("fill2_chain: n must not be an element of L | R")
     seed = _check_fringe_seed(L, R, n, "fill2_chain")
-    yield seed, {"n": n}
+    yield seed
     l = 1
     while True:
         filled = IntegerSet.interval((1 - l) * n, (l + 1) * n).difference(IntegerSet([n]))
-        yield filled.union(IntegerSet([(l + 2) * n])), {"l": l, "kind": "filled+point"}
-        yield affine(L, 1, -l * n - 1).union(filled, affine(R, 1, l * n)), \
-            {"l": l, "kind": "refringed"}
+        yield filled.union(IntegerSet([(l + 2) * n]))
+        yield affine(L, 1, -l * n - 1).union(filled, affine(R, 1, l * n))
         l += 1
 
 
@@ -246,14 +234,14 @@ def fill2_chain(L: IntegerSet, R: IntegerSet, n: int, num_steps: int) -> ChainRe
                      no_fill_in_required=False)
 
 
-def iter_nonfill_chain() -> Iterator[tuple[IntegerSet, dict]]:
+def iter_nonfill_chain() -> Iterator[IntegerSet]:
     """Endless explicit non-filling-in chain; every new element lands
     beyond the previous maximum."""
     l = 1
     while True:
-        mstd = nonfill_explicit_mstd(l, check=False)
-        yield mstd, {"l": l, "kind": "mstd"}
-        yield _nonfill_add_point(mstd, l), {"l": l, "kind": "mdts"}
+        mstd = _nonfill_mstd(l)
+        yield mstd
+        yield _nonfill_add_point(mstd, l)
         l += 1
 
 
@@ -281,7 +269,7 @@ def _mdts_interposer(prev: IntegerSet, nxt: IntegerSet) -> Optional[IntegerSet]:
 
 
 def iter_thm31_chain(L: IntegerSet, R: IntegerSet, n: int, m: int,
-                     mode: str = "strict") -> Iterator[tuple[IntegerSet, dict]]:
+                     mode: str = "strict") -> Iterator[IntegerSet]:
     """Endless fringe-shift chain.
 
     Odd steps append the reflected fringe m + (k+1)n - R and are MSTD by
@@ -290,16 +278,15 @@ def iter_thm31_chain(L: IntegerSet, R: IntegerSet, n: int, m: int,
     difference-dominated one exists (existence is not guaranteed).
     """
     current = thm31_base(L, R, n, m, mode)
-    yield current, {"n": n, "m": m, "mode": mode}
+    yield current
     k = 1
     while True:
-        appended = affine(R, -1, m + (k + 1) * n)
-        nxt = current.union(appended)
+        nxt = current.union(affine(R, -1, m + (k + 1) * n))
         even = _mdts_interposer(current, nxt)
         if even is None:
             raise ChainBreakError(2 * k)  # the even step of round k
-        yield even, {"k": k, "added": even.difference(current).to_text()}
-        yield nxt, {"k": k, "appended": appended.to_text()}
+        yield even
+        yield nxt
         current = nxt
         k += 1
 
@@ -338,16 +325,6 @@ class VerificationReport:
         lines = [c.describe() for c in self.checks]
         lines.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines)
-
-    def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "skipped": c.skipped,
-                 "witnesses": list(c.witnesses)}
-                for c in self.checks
-            ],
-        }
 
 
 _ORACLE_CARD_LIMIT = 2000

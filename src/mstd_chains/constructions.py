@@ -5,15 +5,16 @@ InvalidParameterError naming the failed clause: the constructions are only
 valid inside their hypotheses, and silent misuse would hand back sets that
 do not classify as advertised. Postconditions (hull identities, the
 advertised classification) are cheap at the sizes in scope and are always
-verified. Only ``interval_minus_point`` and the two explicit
-non-filling-in steps take ``check=False``, which the chain generators pass:
-they profile every step they emit. The fringe-seed hypotheses of
-``miller_mstd`` are checked in one place, which the linear fill-in chain
-shares, since its seeds are the same fringe pairs.
+verified; no construction takes a switch to skip them. The chain
+generators, which profile every step they emit anyway, build their steps
+with the unchecked private builders these functions wrap. The fringe-seed
+hypotheses of ``miller_mstd`` are checked in one place, which the linear
+fill-in chain shares, since its seeds are the same fringe pairs.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional
@@ -105,7 +106,12 @@ def _require_classification(a: IntegerSet, want: Classification, who: str) -> No
         raise AssertionError(f"{who}: output classifies {got.value}, expected {want.value}")
 
 
-def interval_minus_point(m: int, r: int, check: bool = True) -> IntegerSet:
+def _hole_interval(m: int, r: int) -> IntegerSet:
+    """[0, m-1] without r, unchecked."""
+    return IntegerSet.interval(0, m - 1).difference(IntegerSet([r]))
+
+
+def interval_minus_point(m: int, r: int) -> IntegerSet:
     """[0, m-1] with the single point r removed.
 
     Requires m >= 4 and 2 <= r <= m-3; under those bounds the result keeps
@@ -115,12 +121,11 @@ def interval_minus_point(m: int, r: int, check: bool = True) -> IntegerSet:
         raise InvalidParameterError("interval_minus_point: m must be >= 4")
     if not (2 <= r <= m - 3):
         raise InvalidParameterError("interval_minus_point: r must satisfy 2 <= r <= m-3")
-    out = IntegerSet.interval(0, m - 1).difference(IntegerSet([r]))
-    if check:
-        if sumset(out) != IntegerSet.interval(0, 2 * m - 2):
-            raise AssertionError("interval_minus_point: sum hull identity failed")
-        if diffset(out) != IntegerSet.interval(-(m - 1), m - 1):
-            raise AssertionError("interval_minus_point: difference hull identity failed")
+    out = _hole_interval(m, r)
+    if sumset(out) != IntegerSet.interval(0, 2 * m - 2):
+        raise AssertionError("interval_minus_point: sum hull identity failed")
+    if diffset(out) != IntegerSet.interval(-(m - 1), m - 1):
+        raise AssertionError("interval_minus_point: difference hull identity failed")
     return out
 
 
@@ -237,7 +242,19 @@ _NONFILL_SEED = (0, 1, 2, 5, 8, 9, 10)
 _NONFILL_OFFSETS = (6, 7, 9, 10)
 
 
-def nonfill_explicit_mstd(l: int, check: bool = True) -> IntegerSet:
+def _nonfill_mstd(l: int) -> IntegerSet:
+    """Step 2l-1 of the non-filling-in sequence, unchecked."""
+    return IntegerSet(_NONFILL_SEED).union(
+        IntegerSet(8 * j + off for j in range(1, l + 1) for off in _NONFILL_OFFSETS)
+    )
+
+
+def _nonfill_add_point(mstd: IntegerSet, l: int) -> IntegerSet:
+    """Step 2l from step 2l-1 (``mstd``) of the non-filling-in sequence."""
+    return mstd.union(IntegerSet([8 * l + 14]))
+
+
+def nonfill_explicit_mstd(l: int) -> IntegerSet:
     """Step 2l-1 of the explicit non-filling-in sequence; always MSTD.
 
     The seed {0,1,2,5,8,9,10} is extended by 8*[1,l] + {6,7,9,10}. Its
@@ -247,22 +264,16 @@ def nonfill_explicit_mstd(l: int, check: bool = True) -> IntegerSet:
     """
     if l < 1:
         raise InvalidParameterError("nonfill_explicit_mstd: l must be >= 1")
-    out = IntegerSet(_NONFILL_SEED).union(
-        IntegerSet(8 * j + off for j in range(1, l + 1) for off in _NONFILL_OFFSETS)
-    )
-    if check:
-        want_sum = IntegerSet.interval(0, 16 * l + 20).difference(IntegerSet([21]))
-        if sumset(out) != want_sum:
-            raise AssertionError("nonfill_explicit_mstd: sumset identity failed")
-        want_diff = IntegerSet.interval(-8 * l - 10, 8 * l + 10).difference(
-            IntegerSet([-(8 * l + 3), 8 * l + 3])
-        )
-        if diffset(out) != want_diff:
-            raise AssertionError("nonfill_explicit_mstd: difference-set identity failed")
+    out = _nonfill_mstd(l)
+    if sumset(out) != IntegerSet.interval(0, 16 * l + 20).difference(IntegerSet([21])):
+        raise AssertionError("nonfill_explicit_mstd: sumset identity failed")
+    holes = IntegerSet([-(8 * l + 3), 8 * l + 3])
+    if diffset(out) != IntegerSet.interval(-8 * l - 10, 8 * l + 10).difference(holes):
+        raise AssertionError("nonfill_explicit_mstd: difference-set identity failed")
     return out
 
 
-def nonfill_explicit_mdts(l: int, check: bool = True) -> IntegerSet:
+def nonfill_explicit_mdts(l: int) -> IntegerSet:
     """Step 2l of the explicit non-filling-in sequence; always MDTS.
 
     Adds the single element 8l+14 to step 2l-1, which brings exactly 4 new
@@ -270,32 +281,45 @@ def nonfill_explicit_mdts(l: int, check: bool = True) -> IntegerSet:
     """
     if l < 1:
         raise InvalidParameterError("nonfill_explicit_mdts: l must be >= 1")
-    out = _nonfill_add_point(nonfill_explicit_mstd(l, check=False), l)
-    if check:
-        if len(sumset(out)) != 16 * l + 24:
-            raise AssertionError("nonfill_explicit_mdts: sum count identity failed")
-        if len(diffset(out)) != 16 * l + 25:
-            raise AssertionError("nonfill_explicit_mdts: difference count identity failed")
+    out = _nonfill_add_point(_nonfill_mstd(l), l)
+    if len(sumset(out)) != 16 * l + 24:
+        raise AssertionError("nonfill_explicit_mdts: sum count identity failed")
+    if len(diffset(out)) != 16 * l + 25:
+        raise AssertionError("nonfill_explicit_mdts: difference count identity failed")
     return out
 
 
-def _nonfill_add_point(mstd: IntegerSet, l: int) -> IntegerSet:
-    """Step 2l from step 2l-1 (``mstd``) of the non-filling-in sequence."""
-    return mstd.union(IntegerSet([8 * l + 14]))
+def _missing(a: IntegerSet, lo: int, hi: int) -> tuple[int, list[int]]:
+    """How many integers of [lo, hi] are not in ``a``, and the first ten of them.
+
+    Both come from the elements inside the window, so neither the cost nor
+    the output grows with the width of the window.
+    """
+    els = a.elements
+    i, j = bisect_left(els, lo), bisect_right(els, hi)
+    # at most j - i of lo..lo+(j-i)+9 are elements, so the first ten gaps lie there
+    first = a.missing_in_interval(lo, min(hi, lo + j - i + 9))[:10]
+    return hi - lo + 1 - (j - i), first
+
+
+def _describe(count: int, first: list[int]) -> str:
+    """``first`` as a list, with the full count when the list is cut short."""
+    return str(first) if count == len(first) else f"{count} values, first {first}"
 
 
 @dataclass(frozen=True)
 class ConditionReport:
     """Outcome of the fringe-pair condition check, with witnesses.
 
-    ``missing`` maps a condition label to the elements of [0, n-1] that are
-    absent from the relevant sum combination. Truthiness follows ``passed``.
+    ``missing`` maps a condition label to the first ten elements of [0, n-1]
+    absent from the relevant sum combination, and ``missing_count`` to how
+    many are absent. Truthiness follows ``passed``.
     """
 
-    mode: str
     passed: bool
     failures: tuple[str, ...]
     missing: dict = field(default_factory=dict)
+    missing_count: dict = field(default_factory=dict)
 
     def __bool__(self) -> bool:
         return self.passed
@@ -322,30 +346,24 @@ def check_thm31_conditions(L: IntegerSet, R: IntegerSet, n: int,
                 f"check_thm31_conditions: {name} must be a nonempty subset of [0, n]"
             )
     failures: list[str] = []
-    missing: dict = {}
     if n not in L or n not in R:
         failures.append("n must be in both L and R")
-    miss_LL = sumset(L).missing_in_interval(0, n - 1)
-    miss_RR = sumset(R).missing_in_interval(0, n - 1)
-    miss_LR = IntegerSet(l + r for l in L for r in R).missing_in_interval(0, n - 1)
-    missing["L+L"] = miss_LL
-    missing["R+R"] = miss_RR
-    missing["L+R"] = miss_LR
+    sums = {"L+L": sumset(L), "R+R": sumset(R), "L+R": IntegerSet(l + r for l in L for r in R)}
+    found = {label: _missing(S, 0, n - 1) for label, S in sums.items()}
+    count = {label: c for label, (c, _) in found.items()}
     if mode == "strict":
-        if miss_LL:
-            failures.append(f"[0, n-1] not covered by L+L (missing {miss_LL})")
-        if miss_RR:
-            failures.append(f"[0, n-1] not covered by R+R (missing {miss_RR})")
-        if not miss_LR:
+        for label in ("L+L", "R+R"):
+            if count[label]:
+                failures.append(f"[0, n-1] not covered by {label} "
+                                f"(missing {_describe(*found[label])})")
+        if not count["L+R"]:
             failures.append("[0, n-1] must not be fully covered by L+R")
-    else:
-        if not len(miss_LL) < 2 * len(miss_LR):
-            failures.append(
-                f"need |missing from L+L| < 2 * |missing from L+R| "
-                f"({len(miss_LL)} vs {len(miss_LR)})"
-            )
-    return ConditionReport(mode=mode, passed=not failures,
-                           failures=tuple(failures), missing=missing)
+    elif not count["L+L"] < 2 * count["L+R"]:
+        failures.append(f"need |missing from L+L| < 2 * |missing from L+R| "
+                        f"({count['L+L']} vs {count['L+R']})")
+    return ConditionReport(passed=not failures, failures=tuple(failures),
+                           missing={label: first for label, (_, first) in found.items()},
+                           missing_count=count)
 
 
 def thm31_base(L: IntegerSet, R: IntegerSet, n: int, m: int,
@@ -364,10 +382,10 @@ def thm31_base(L: IntegerSet, R: IntegerSet, n: int, m: int,
     if m < n:
         raise InvalidParameterError("thm31_base: m must be >= n")
     out = L.union(IntegerSet.interval(n, m), affine(R, -1, m + n))
-    gap = sumset(out).missing_in_interval(n + 1, 2 * m + n - 1)
-    if len(gap) > 1:
+    gap = _missing(sumset(out), n + 1, 2 * m + n - 1)
+    if gap[0] > 1:
         raise InvalidParameterError(
-            f"thm31_base: m unsuitable, sumset misses {gap} in [n+1, 2m+n-1]"
+            f"thm31_base: m unsuitable, sumset misses {_describe(*gap)} in [n+1, 2m+n-1]"
         )
     _require_classification(out, Classification.MSTD, "thm31_base")
     return out

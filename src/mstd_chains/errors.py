@@ -24,6 +24,6 @@ class ChainBreakError(RuntimeError):
     in-between step is found by search and may not exist.
     """
 
-    def __init__(self, step_index: int, message: str | None = None):
+    def __init__(self, step_index: int):
         self.step_index = step_index
-        super().__init__(message or f"no MDTS interposer found before step {step_index}")
+        super().__init__(f"no MDTS interposer found before step {step_index}")

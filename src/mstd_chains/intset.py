@@ -12,9 +12,9 @@ while those stay small, and on Python sets otherwise.
 
 Sets wider than ``DENSE_DIAMETER_LIMIT`` fall back to pairwise sums and
 differences of their elements, as Python integers, instead of allocating
-an enormous bit-vector. That fallback lists every pair, so it refuses
-sets of more than 10**4 elements with ``ResourceLimitError`` before
-allocating anything. Nothing here needs numpy.
+an enormous bit-vector. That fallback lists every pair within a 1 GiB
+byte budget: it refuses sets of 4096 elements or more with
+``ResourceLimitError`` before allocating anything. Nothing here needs numpy.
 """
 
 from __future__ import annotations

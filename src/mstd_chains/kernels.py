@@ -108,19 +108,20 @@ def _grow(base: int, positions: Sequence[int], max_size: Optional[int] = None
     in [0, 32) and no position is in ``base``. Every batch is a view of one
     buffer, overwritten by the next batch.
     """
-    batches = list(_split(base, positions, max_size))
-    most = max((_subsets_up_to(len(p), j) for _, p, j in batches), default=0)
-    words = np.empty((4, most), dtype=np.uint64)
-    for base, positions, limit in batches:
+    m = len(positions)
+    limit = m if max_size is None else min(max_size, m)
+    # no batch holds more sets than the whole request or than _BATCH
+    words = np.empty((4, min(_subsets_up_to(m, limit), _BATCH)), dtype=np.uint64)
+    for base, positions, limit, count in _split(base, positions, max_size):
         if limit < len(positions):
-            yield _layer_batch(base, positions, limit, words)
+            yield _layer_batch(base, positions, limit, count, words)
         else:
             yield _grow_batch(base, positions, words)
 
 
 def _split(base: int, positions: Sequence[int], max_size: Optional[int]
-           ) -> Iterator[tuple[int, Sequence[int], int]]:
-    """(base, positions, limit) requests of at most ``_BATCH`` sets, in counter order.
+           ) -> Iterator[tuple[int, Sequence[int], int, int]]:
+    """(base, positions, limit, count) requests of count <= ``_BATCH`` sets, in counter order.
 
     A larger request splits on its top position: the sets without it come
     first, then those with it.
@@ -129,8 +130,9 @@ def _split(base: int, positions: Sequence[int], max_size: Optional[int]
     limit = m if max_size is None else min(max_size, m)
     if limit < 0:
         return
-    if _subsets_up_to(m, limit) <= _BATCH:
-        yield base, positions, limit
+    count = _subsets_up_to(m, limit)
+    if count <= _BATCH:
+        yield base, positions, limit, count
         return
     yield from _split(base, positions[:-1], max_size)
     yield from _split(base | 1 << positions[-1], positions[:-1],
@@ -196,16 +198,16 @@ def _plan(m: int, limit: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple(layers)
 
 
-def _layer_batch(base: int, positions: Sequence[int], limit: int, words: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One ``_grow`` batch with a size limit: the sets base | T with |T| <= limit,
-    layer by layer in |T|.
+def _layer_batch(base: int, positions: Sequence[int], limit: int, count: int,
+                 words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One ``_grow`` batch with a size limit: the ``count`` sets base | T with
+    |T| <= limit, layer by layer in |T|.
 
     Each layer is one gather of its parents' four words from the layer
     before, then the word updates of ``_grow_batch`` with a shift per set,
     so a batch costs a few numpy calls per layer, not per position.
     """
-    w, shifts = _start(base, positions, _subsets_up_to(len(positions), limit), words)
+    w, shifts = _start(base, positions, count, words)
     one = np.uint64(1)
     start, stop = 0, 1
     for source, position in _plan(len(positions), limit):

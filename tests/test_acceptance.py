@@ -151,13 +151,13 @@ def test_criterion_7_nonfill_identities_to_50():
         start = time.perf_counter()
         failures = []
         for l in range(1, 51):
-            a = nonfill_explicit_mstd(l, check=False).to_list()
+            a = nonfill_explicit_mstd(l).to_list()
             if naive_sums(a) != set(range(0, 16 * l + 21)) - {21}:
                 failures.append((l, "mstd sums"))
             full = set(range(-8 * l - 10, 8 * l + 11))
             if full - naive_diffs(a) != {8 * l + 3, -(8 * l + 3)}:
                 failures.append((l, "mstd diffs"))
-            b = nonfill_explicit_mdts(l, check=False).to_list()
+            b = nonfill_explicit_mdts(l).to_list()
             if len(naive_sums(b)) != 16 * l + 24:
                 failures.append((l, "mdts sums"))
             if len(naive_diffs(b)) != 16 * l + 25:

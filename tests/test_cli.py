@@ -117,6 +117,16 @@ def test_chain_thm31_bad_conditions(capsys):
     assert "conditions" in err
 
 
+def test_chain_thm31_failed_conditions_stay_short(capsys):
+    # every value of [1, n-1] is missing; the message lists only the first ten
+    code, _, err = run(capsys, "chain", "--method", "thm31",
+                       "--L", "0,1000000", "--R", "0,1000000",
+                       "--n", "1000000", "--m", "1000000", "--steps", "2")
+    assert code == 2
+    assert "missing 999999 values, first [1, 2," in err
+    assert len(err.encode()) < 2048
+
+
 def test_chain_thm31_too_wide_is_refused(capsys):
     # the filled interval [n, m] alone would be 10**8 elements
     code, _, err = run(capsys, "chain", "--method", "thm31",

@@ -1,3 +1,6 @@
+import random
+import tracemalloc
+
 import pytest
 
 from mstd_chains import (Classification, IntegerSet, InvalidParameterError,
@@ -6,9 +9,10 @@ from mstd_chains import (Classification, IntegerSet, InvalidParameterError,
                          mdts_interval_plus_point, miller_mstd, nathanson_mstd,
                          nonfill_explicit_mdts, nonfill_explicit_mstd,
                          thm31_base)
+from mstd_chains import constructions
 
 from .conftest import (FILL2_L, FILL2_N, FILL2_R, THM31_GENERAL, THM31_STRICT,
-                       naive_diffs, naive_sums)
+                       naive_diffs, naive_sums, run_python)
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +228,47 @@ def test_nonfill_identities_sample():
         assert len(naive_diffs(b) - naive_diffs(a)) == 6
 
 
+# the constructions whose identity checks have no switch, with valid arguments
+_IDENTITY_CHECKED = (("interval_minus_point", (19, 16)),
+                     ("nonfill_explicit_mstd", (3,)), ("nonfill_explicit_mdts", (3,)))
+
+
+@pytest.mark.parametrize("engine", ["sumset", "diffset"])
+def test_identity_checks_catch_a_wrong_engine(monkeypatch, engine):
+    real = getattr(constructions, engine)
+    # one element short: 0 is in A+A and in A-A for every set here
+    monkeypatch.setattr(constructions, engine,
+                        lambda a: real(a).difference(IntegerSet([0])))
+    for name, args in _IDENTITY_CHECKED:
+        with pytest.raises(AssertionError, match=f"^{name}: .*identity failed$"):
+            getattr(constructions, name)(*args)
+
+
+def test_identity_checks_hold_under_optimize():
+    # asserts vanish under -O; the identity checks must not
+    script = ("from mstd_chains import IntegerSet, constructions as c\n"
+              f"cases = {_IDENTITY_CHECKED!r}\n"
+              "for engine in ('sumset', 'diffset'):\n"
+              "    real = getattr(c, engine)\n"
+              "    setattr(c, engine, lambda a: real(a).difference(IntegerSet([0])))\n"
+              "    for name, args in cases:\n"
+              "        try:\n"
+              "            getattr(c, name)(*args)\n"
+              "        except AssertionError as exc:\n"
+              "            print(exc)\n"
+              "    setattr(c, engine, real)\n")
+    done = run_python("-O", "-c", script)
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout.splitlines() == [
+        "interval_minus_point: sum hull identity failed",
+        "nonfill_explicit_mstd: sumset identity failed",
+        "nonfill_explicit_mdts: sum count identity failed",
+        "interval_minus_point: difference hull identity failed",
+        "nonfill_explicit_mstd: difference-set identity failed",
+        "nonfill_explicit_mdts: difference count identity failed",
+    ]
+
+
 def test_nonfill_rejects_zero():
     with pytest.raises(InvalidParameterError):
         nonfill_explicit_mstd(0)
@@ -248,6 +293,7 @@ def test_conditions_strict_fail_names_witness():
                                     THM31_GENERAL["n"], mode="strict")
     assert not report.passed
     assert report.missing["L+L"] == [5]
+    assert report.missing_count == {"L+L": 1, "R+R": 0, "L+R": 1}
     assert any("L+L" in f for f in report.failures)
 
 
@@ -257,6 +303,33 @@ def test_conditions_strict_pass():
                                     THM31_STRICT["n"], mode="strict")
     assert report.passed
     assert report.missing["L+R"] == [7]
+
+
+def test_bounded_missing_agrees_with_the_full_list():
+    rng = random.Random(5)
+    for _ in range(2000):
+        a = IntegerSet(rng.sample(range(-20, 60), rng.randint(0, 40)))
+        lo = rng.randint(-30, 60)
+        hi = lo + rng.randint(0, 50)
+        full = a.missing_in_interval(lo, hi)
+        assert constructions._missing(a, lo, hi) == (len(full), full[:10])
+
+
+def test_conditions_bound_their_witnesses():
+    # every value of [1, n-1] is missing from each sum combination
+    n = 10**6
+    tracemalloc.start()
+    try:
+        report = check_thm31_conditions(IntegerSet([0, n]), IntegerSet([0, n]), n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, f"peak {peak / 2**20:.1f} MiB"
+    assert report.missing == {label: list(range(1, 11)) for label in ("L+L", "R+R", "L+R")}
+    assert report.missing_count == {"L+L": n - 1, "R+R": n - 1, "L+R": n - 1}
+    assert report.failures[0] == ("[0, n-1] not covered by L+L (missing 999999 values, "
+                                  "first [1, 2, 3, 4, 5, 6, 7, 8, 9, 10])")
+    assert max(map(len, report.failures)) < 200
 
 
 def test_conditions_reject_out_of_window():

@@ -1,4 +1,5 @@
-"""Which package modules may import numpy, and which may import the kernels."""
+"""Rules on the package source: which modules may import numpy and the kernels,
+and no ``assert`` statements."""
 
 import ast
 
@@ -25,3 +26,12 @@ def test_only_kernels_imports_numpy_and_only_search_imports_kernels():
     assert {"kernels", "search", "intset"} <= modules.keys()
     assert {m for m, names in modules.items() if "numpy" in names} == {"kernels"}
     assert {m for m, names in modules.items() if "kernels" in names} == {"search"}
+
+
+def test_no_assert_statements():
+    # python -O strips asserts, so every invariant is an explicit raise
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted((REPO / "src" / "mstd_chains").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
