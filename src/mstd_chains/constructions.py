@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import islice, product
 from typing import Optional
 
 from .errors import InvalidParameterError
@@ -163,8 +163,6 @@ def mdts_interval_plus_point(m: int, p: int) -> tuple[IntegerSet, int]:
         raise AssertionError(
             f"mdts_interval_plus_point: surplus {got}, formula gives {surplus}"
         )
-    if got <= 0:
-        raise AssertionError("mdts_interval_plus_point: output is not MDTS")
     return out, surplus
 
 
@@ -292,14 +290,13 @@ def nonfill_explicit_mdts(l: int) -> IntegerSet:
 def _missing(a: IntegerSet, lo: int, hi: int) -> tuple[int, list[int]]:
     """How many integers of [lo, hi] are not in ``a``, and the first ten of them.
 
-    Both come from the elements inside the window, so neither the cost nor
-    the output grows with the width of the window.
+    The count comes from the elements inside the window and the lazy gap
+    list stops at ten, so neither the cost nor the output grows with the
+    width of the window.
     """
     els = a.elements
-    i, j = bisect_left(els, lo), bisect_right(els, hi)
-    # at most j - i of lo..lo+(j-i)+9 are elements, so the first ten gaps lie there
-    first = a.missing_in_interval(lo, min(hi, lo + j - i + 9))[:10]
-    return hi - lo + 1 - (j - i), first
+    inside = bisect_right(els, hi) - bisect_left(els, lo)
+    return hi - lo + 1 - inside, list(islice(a.missing_in_interval(lo, hi), 10))
 
 
 def _describe(count: int, first: list[int]) -> str:
@@ -348,22 +345,26 @@ def check_thm31_conditions(L: IntegerSet, R: IntegerSet, n: int,
     failures: list[str] = []
     if n not in L or n not in R:
         failures.append("n must be in both L and R")
-    sums = {"L+L": sumset(L), "R+R": sumset(R), "L+R": IntegerSet(l + r for l in L for r in R)}
-    found = {label: _missing(S, 0, n - 1) for label, S in sums.items()}
-    count = {label: c for label, (c, _) in found.items()}
+    # with s = 2n + 1, the sums of (L - s) | R fall in three disjoint
+    # windows: L+L shifted by -2s, L+R by -s and R+R by 0
+    s = 2 * n + 1
+    sums = sumset(L.shift(-s).union(R))
+    count, missing = {}, {}
+    for label, shift in (("L+L", 2 * s), ("R+R", 0), ("L+R", s)):
+        count[label], first = _missing(sums, -shift, n - 1 - shift)
+        missing[label] = [v + shift for v in first]
     if mode == "strict":
         for label in ("L+L", "R+R"):
             if count[label]:
                 failures.append(f"[0, n-1] not covered by {label} "
-                                f"(missing {_describe(*found[label])})")
+                                f"(missing {_describe(count[label], missing[label])})")
         if not count["L+R"]:
             failures.append("[0, n-1] must not be fully covered by L+R")
     elif not count["L+L"] < 2 * count["L+R"]:
         failures.append(f"need |missing from L+L| < 2 * |missing from L+R| "
                         f"({count['L+L']} vs {count['L+R']})")
     return ConditionReport(passed=not failures, failures=tuple(failures),
-                           missing={label: first for label, (_, first) in found.items()},
-                           missing_count=count)
+                           missing=missing, missing_count=count)
 
 
 def thm31_base(L: IntegerSet, R: IntegerSet, n: int, m: int,

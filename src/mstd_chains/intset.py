@@ -142,11 +142,6 @@ class IntegerSet:
     __slots__ = ("_els", "_bits", "_offset")
 
     def __init__(self, elements: Iterable[int] = ()):
-        if isinstance(elements, IntegerSet):
-            self._els = elements._els
-            self._bits = elements._bits
-            self._offset = elements._offset
-            return
         items = list(elements)
         kinds = set(map(type, items)) - {int}
         if kinds:
@@ -383,13 +378,18 @@ class IntegerSet:
         j = i + hi - lo
         return els[i] == lo and j < len(els) and els[j] == hi
 
-    def missing_in_interval(self, lo: int, hi: int) -> list[int]:
-        """The integers in [lo, hi] that are not elements, ascending."""
-        if lo > hi:
-            return []
+    def missing_in_interval(self, lo: int, hi: int) -> Iterator[int]:
+        """The integers in [lo, hi] that are not elements, ascending.
+
+        A lazy iterator: the first few gaps of a wide window cost a step per
+        element below them, not a step per value of the window.
+        """
         els = self.elements
-        inside = set(els[bisect_left(els, lo):bisect_right(els, hi)])
-        return list(filterfalse(inside.__contains__, range(lo, hi + 1)))
+        prev = lo - 1
+        for e in els[bisect_left(els, lo):bisect_right(els, hi)]:
+            yield from range(prev + 1, e)
+            prev = e
+        yield from range(prev + 1, hi + 1)
 
     def shift(self, y: int) -> "IntegerSet":
         """Translate every element by ``y``."""

@@ -42,7 +42,7 @@ _ENUM_CHUNK = 1 << 17
 _SAMPLE_CHUNK = 1 << 12
 _WITNESS_CAP = 8
 _ORACLE_CARD_CAP = 10_000
-_CARD_BUDGET = 100_000_000  # most sets one cardinality scan classifies
+_SET_BUDGET = 100_000_000  # most sets one search classifies
 
 
 def oracle_profile(a: IntegerSet | Iterable[int]) -> SetProfile:
@@ -226,12 +226,11 @@ def min_cardinality_scan(d_max: int, card_max: int, workers: int = 1) -> SearchR
     """
     if d_max < 0 or card_max < 1:
         raise InvalidParameterError("min_cardinality_scan: d_max >= 0 and card_max >= 1")
-    # each diameter adds at least the set {0, d}, so a d_max past the budget
-    # is refused at once; otherwise the running total stops once past it
-    sizes = map(_card_task_size, _card_tasks(d_max, card_max))
-    if (card_max >= 2 and d_max >= _CARD_BUDGET) or any(
-            total > _CARD_BUDGET for total in accumulate(sizes)):
-        raise ResourceLimitError(f"min_cardinality_scan: more than {_CARD_BUDGET} sets")
+    # the tasks scan {0} with at most card_max - 1 elements of [1, d_max], so
+    # C(d_max, i) sets for each i < card_max; the running total stops past the budget
+    sizes = (math.comb(d_max, i) for i in range(min(card_max, d_max + 1)))
+    if any(total > _SET_BUDGET for total in accumulate(sizes)):
+        raise ResourceLimitError(f"min_cardinality_scan: more than {_SET_BUDGET} sets")
     # largest first, so that no big task is left for one worker at the end
     tasks = sorted(_card_tasks(d_max, card_max), key=_card_task_size, reverse=True)
     from .kernels import _card_chunk
@@ -258,14 +257,10 @@ def sample_mstd_proportion(n: int, samples: int, seed: int,
         raise InvalidParameterError("sample_mstd_proportion: samples must be >= 1")
     if seed < 0:
         raise InvalidParameterError("sample_mstd_proportion: seed must be >= 0")
-    tasks = []
-    chunk_index = 0
-    remaining = samples
-    while remaining > 0:
-        count = min(_SAMPLE_CHUNK, remaining)
-        tasks.append((seed, chunk_index, count, n))
-        chunk_index += 1
-        remaining -= count
+    if samples > _SET_BUDGET:
+        raise ResourceLimitError(f"sample_mstd_proportion: more than {_SET_BUDGET} samples")
+    tasks = [(seed, chunk_index, min(_SAMPLE_CHUNK, samples - start), n)
+             for chunk_index, start in enumerate(range(0, samples, _SAMPLE_CHUNK))]
     from .kernels import _sample_chunk
     report = _scan(_sample_chunk, tasks, workers,
                    f"uniform random subsets of [1,{n}], p=1/2 per element", seed=seed)

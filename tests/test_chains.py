@@ -327,6 +327,10 @@ def test_verify_detects_tampered_profiles():
     assert not report.passed
     bad = next(c for c in report.checks if c.name == "profiles")
     assert "step 2" in bad.witnesses[0]
+    rows[0]["elements"] = []
+    report = verify_chain(chain_from_json(json.dumps(rows), no_fill_in_required=True))
+    bad = next(c for c in report.checks if c.name == "profiles")
+    assert bad.witnesses[0] == "step 1: empty set"
 
 
 def test_verify_uses_oracle_for_small_steps(conway, monkeypatch):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from mstd_chains import IntegerSet, emit_table, nonfill_chain
+from mstd_chains import IntegerSet, chains, emit_table, nonfill_chain
 from mstd_chains.cli import cli_main
 
 from .conftest import THM31_STRICT, run_python
@@ -107,6 +107,15 @@ def test_chain_thm31(capsys):
                        "--n", "8", "--m", "10", "--steps", "5")
     assert code == 0
     assert out.splitlines()[2].split()[0] == "A_1"
+
+
+def test_chain_thm31_break_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(chains, "_mdts_interposer", lambda prev, nxt: None)
+    code, _, err = run(capsys, "chain", "--method", "thm31",
+                       "--L", "0,1,2,5,8", "--R", "0,1,3,4,8",
+                       "--n", "8", "--m", "10", "--steps", "3")
+    assert code == 1
+    assert err.startswith("chain break:")
 
 
 def test_chain_thm31_bad_conditions(capsys):

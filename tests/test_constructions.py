@@ -1,10 +1,12 @@
 import random
+import time
 import tracemalloc
 
 import pytest
 
-from mstd_chains import (Classification, IntegerSet, InvalidParameterError,
-                         MultiDimAP, NathansonParams, check_thm31_conditions,
+from mstd_chains import (Classification, ConditionReport, IntegerSet,
+                         InvalidParameterError, MultiDimAP, NathansonParams,
+                         check_thm31_conditions,
                          classify, from_config, interval_minus_point,
                          mdts_interval_plus_point, miller_mstd, nathanson_mstd,
                          nonfill_explicit_mdts, nonfill_explicit_mstd,
@@ -305,14 +307,57 @@ def test_conditions_strict_pass():
     assert report.missing["L+R"] == [7]
 
 
+def _naive_condition_reports(L, R, n):
+    """The condition report of each mode, from full gap lists of naive sums."""
+    sums = {"L+L": naive_sums(L), "R+R": naive_sums(R), "L+R": {a + b for a in L for b in R}}
+    full = {label: [v for v in range(n) if v not in S] for label, S in sums.items()}
+    count = {label: len(gaps) for label, gaps in full.items()}
+    first = {label: gaps[:10] for label, gaps in full.items()}
+    both = [] if n in L and n in R else ["n must be in both L and R"]
+    strict = both + [f"[0, n-1] not covered by {label} "
+                     f"(missing {constructions._describe(count[label], first[label])})"
+                     for label in ("L+L", "R+R") if count[label]]
+    if not count["L+R"]:
+        strict.append("[0, n-1] must not be fully covered by L+R")
+    general = both + ([] if count["L+L"] < 2 * count["L+R"] else
+                      [f"need |missing from L+L| < 2 * |missing from L+R| "
+                       f"({count['L+L']} vs {count['L+R']})"])
+    return {mode: ConditionReport(not failures, tuple(failures), first, count)
+            for mode, failures in (("strict", strict), ("generalized", general))}
+
+
 def test_bounded_missing_agrees_with_the_full_list():
     rng = random.Random(5)
     for _ in range(2000):
         a = IntegerSet(rng.sample(range(-20, 60), rng.randint(0, 40)))
         lo = rng.randint(-30, 60)
         hi = lo + rng.randint(0, 50)
-        full = a.missing_in_interval(lo, hi)
+        full = list(a.missing_in_interval(lo, hi))
         assert constructions._missing(a, lo, hi) == (len(full), full[:10])
+    # the three fringe sums, read from one sumset, against naive pair sums
+    for _ in range(3000):
+        n = rng.randint(1, 40)
+        L, R = (rng.sample(range(n + 1), rng.randint(1, n + 1)) for _ in "LR")
+        for mode, want in _naive_condition_reports(L, R, n).items():
+            got = check_thm31_conditions(IntegerSet(L), IntegerSet(R), n, mode)
+            assert got == want, (L, R, n, mode)
+            assert list(got.missing) == list(got.missing_count) == ["L+L", "R+R", "L+R"]
+
+
+def test_conditions_cost_does_not_grow_with_the_pairs():
+    # 3001 * 3001 pairs of L+R; one sumset of a 9000-wide union covers all three sums
+    full = IntegerSet.interval(0, 3000)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        report = check_thm31_conditions(full, full, 3000)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5 and peak < 16 << 20, (elapsed, peak)
+    assert report.missing_count == {"L+L": 0, "R+R": 0, "L+R": 0}
+    assert report.failures == ("[0, n-1] must not be fully covered by L+R",)
 
 
 def test_conditions_bound_their_witnesses():

@@ -260,6 +260,10 @@ def test_lazy_bits_backed_sets(conway):
     assert s.min == 0 and s.max == 28
     assert 1 not in s and 2 in s
     assert set(s.to_list()) == naive_sums(conway)
+    # equal sets hash alike whichever representation built them
+    assert hash(IntegerSet([0, 1, 2])) == hash(IntegerSet.interval(0, 2))
+    assert repr(IntegerSet.interval(0, 2)) == "IntegerSet([0, 1, 2])"
+    assert repr(IntegerSet(range(13))) == "IntegerSet([0, 1, 2, 3, 4, 5, ... 10, 11, 12])"
 
 
 def test_set_operations(conway):
@@ -269,7 +273,7 @@ def test_set_operations(conway):
     assert conway.difference(evens).to_list() == [3, 7, 11]
     assert conway.intersection(evens) == evens
     assert conway.union(IntegerSet([1])).contains_interval(0, 4)
-    assert conway.missing_in_interval(0, 14) == [1, 5, 6, 8, 9, 10, 13]
+    assert list(conway.missing_in_interval(0, 14)) == [1, 5, 6, 8, 9, 10, 13]
 
 
 def test_dedup_and_ordering():

@@ -1,5 +1,6 @@
 """Rules on the package source: which modules may import numpy and the kernels,
-and no ``assert`` statements."""
+that only ``intset`` reads ``IntegerSet``'s representation, and no ``assert``
+statements."""
 
 import ast
 
@@ -26,6 +27,19 @@ def test_only_kernels_imports_numpy_and_only_search_imports_kernels():
     assert {"kernels", "search", "intset"} <= modules.keys()
     assert {m for m, names in modules.items() if "numpy" in names} == {"kernels"}
     assert {m for m, names in modules.items() if "kernels" in names} == {"search"}
+
+
+_REPRESENTATION = {"_els", "_bits", "_offset", "_from_sorted", "_from_bits",
+                   "_bitvector", "_runs", "_overlaps"}
+
+
+def test_only_intset_reads_the_integer_set_representation():
+    found = [f"{path.name}:{node.lineno} .{node.attr}"
+             for path in sorted((REPO / "src" / "mstd_chains").glob("*.py"))
+             if path.stem != "intset"
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Attribute) and node.attr in _REPRESENTATION]
+    assert found == []
 
 
 def test_no_assert_statements():

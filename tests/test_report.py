@@ -152,6 +152,7 @@ def test_golden_comparison_detects_real_mismatch(table_chains):
     comparison = compare_to_golden(replace(tampered, method="nonfill"))
     assert not comparison.passed
     assert any(c.row == 3 and c.column == "|A_i+A_i|" for c in comparison.mismatches)
+    assert "  MISMATCH row A_3 |A_i+A_i|: expected 52, computed 999" in comparison.render()
 
 
 def test_golden_comparison_validations(table_chains):

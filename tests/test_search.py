@@ -13,6 +13,7 @@ from mstd_chains import (Classification, IntegerSet, InvalidParameterError,
                          kernels, search, wilson_interval)
 from mstd_chains.kernels import (_BATCH, _card_chunk, _enum_chunk, _grow, _mask_counts,
                                  _sample_chunk, _word_counts)
+from mstd_chains.cli import cli_main
 from mstd_chains.search import _worker_count
 
 from .conftest import CONWAY, FILL2_L, FILL2_R, REPO, run_python
@@ -146,12 +147,31 @@ def test_card_scan_past_the_word_width_is_linear_in_diameter():
     assert (report.total_examined, report.balanced_count) == (2 * 10**4 + 1, 2 * 10**4 + 1)
 
 
-@pytest.mark.parametrize("d_max, card_max", [(10**6, 3), (2 * 10**8, 2)])
+@pytest.mark.parametrize("d_max, card_max", [(10**6, 3), (2 * 10**8, 2), (10**7, 10**9)])
 def test_card_scan_far_over_budget_is_refused_at_once(d_max, card_max):
     start = time.perf_counter()
     with pytest.raises(ResourceLimitError):
         min_cardinality_scan(d_max, card_max)
     assert time.perf_counter() - start < 0.2
+
+
+def test_card_scan_budget_equals_the_summed_task_sizes(monkeypatch):
+    # the closed-form count refuses exactly what the per-diameter tasks add up to
+    monkeypatch.setattr(search, "_scan", lambda worker, tasks, *args: tasks)
+    for budget in (1, 5, 37, 1000):
+        monkeypatch.setattr(search, "_SET_BUDGET", budget)
+        for d_max in range(40):
+            for card_max in range(1, 9):
+                sets = sum(map(search._card_task_size, search._card_tasks(d_max, card_max)))
+                if sets > budget:
+                    with pytest.raises(ResourceLimitError):
+                        min_cardinality_scan(d_max, card_max)
+                else:
+                    assert sum(map(search._card_task_size,
+                                   min_cardinality_scan(d_max, card_max))) == sets
+    monkeypatch.undo()
+    # a card_max far above d_max counts every subset
+    assert min_cardinality_scan(6, 10**9).total_examined == 2**6
 
 
 def test_card_scan_worker_invariance():
@@ -185,13 +205,21 @@ def test_sampling_seed_changes_stream():
     assert a.to_json() != b.to_json()
 
 
-def test_sampling_validation():
+def test_sampling_validation(capsys):
     with pytest.raises(InvalidParameterError):
         sample_mstd_proportion(0, 10, seed=1)
     with pytest.raises(InvalidParameterError):
         sample_mstd_proportion(10, 0, seed=1)
     with pytest.raises(InvalidParameterError):
         sample_mstd_proportion(10, 10, seed=-1)
+    # refused before a single task tuple is built
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="more than 100000000 samples"):
+        sample_mstd_proportion(10, 10**12, seed=1)
+    assert time.perf_counter() - start < 0.2
+    assert cli_main(["search", "sample", "--n", "10", "--samples", str(10**12),
+                     "--seed", "1"]) == 2
+    assert "more than 100000000 samples" in capsys.readouterr().err
 
 
 def test_wilson_interval():
