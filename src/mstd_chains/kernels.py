@@ -13,11 +13,14 @@ by one position with a few in-place word operations. Without a size
 limit (exhaustive and seed scans) a batch doubles once per position; with
 one (cardinality scans) it grows by size layers, each layer one gather of
 its parents' words from the layer before, so its cost does not grow with
-the number of positions a limit leaves out. Random samples share
-no such prefix, so sampling classifies each batch from scratch with
-``_word_counts``. Wider sets (sampling with n > 32, or a cardinality scan
-past diameter 31) are counted one at a time by the big-integer loop
-``_mask_counts``.
+the number of positions a limit leaves out. Cardinality scans past
+diameter 31 count one set at a time with the big-integer loop
+``_mask_counts``: their sets have few elements in a wide window.
+
+Random samples share no prefix, so sampling classifies each chunk from
+scratch, bit-sliced: for each position a, bit k of a ``uint64`` word
+says whether sample k holds a, so one word operation serves 64 samples
+and no word width limits n (``_slice_counts``).
 
 Each chunk worker returns (examined, mstd, mdts, balanced, witnesses),
 which ``search._scan`` folds into a report.
@@ -33,22 +36,22 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameterError
 from .search import _WITNESS_CAP, _subsets_up_to
 
 # most sets one kernel call holds; its five working words take 640 KiB
 _BATCH = 1 << 14
 # widest set the kernel takes: its sum and difference words then need 63 bits
 _WORD_WIDTH = 32
+# bytes of one block that sampling transposes or unpacks at a time
+_BLOCK_BYTES = 1 << 20
 
 
 def _mask_counts(bits: int, span: int) -> tuple[int, int]:
     """(|A+A|, |A-A|) for the set encoded by ``bits`` (bit i = element i).
 
     ``span`` is the highest set bit. Works by OR-ing shifted Python
-    integers, one per element. Scans use it only for sets too wide for
-    the word kernels; tests use it as the referee for ``_word_counts``
-    and ``_grow``.
+    integers, one per element. Cardinality scans use it past diameter 31;
+    tests use it as the referee for ``_grow`` and ``_sample_chunk``.
     """
     s = 0
     d = 0
@@ -60,36 +63,6 @@ def _mask_counts(bits: int, span: int) -> tuple[int, int]:
         d |= bits << (span - a)
         rest ^= low
     return s.bit_count(), d.bit_count()
-
-
-def _word_counts(bits: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sum and difference words of a batch of unrelated sets inside [0, width).
-
-    Bit i of ``bits[k]`` stands for element i of set k. In the results,
-    bit i of the sum word stands for the sum i, and bit i of the
-    difference word for the difference i - (width - 1). Their popcounts
-    are |A+A| and |A-A|. With width <= 32 every word fits in 63 bits.
-    Sampling uses it; the enumerating scans use ``_grow``.
-    """
-    if not 1 <= width <= _WORD_WIDTH:
-        raise InvalidParameterError(f"_word_counts: width must be in [1, {_WORD_WIDTH}]")
-    sums = np.zeros_like(bits)
-    diffs = np.zeros_like(bits)
-    member = np.empty_like(bits)
-    shifted = np.empty_like(bits)
-    one = np.uint64(1)
-    for a in range(width):
-        # all ones where a is an element, else zero
-        np.right_shift(bits, np.uint64(a), out=member)
-        np.bitwise_and(member, one, out=member)
-        np.negative(member, out=member)
-        np.left_shift(bits, np.uint64(a), out=shifted)
-        np.bitwise_and(shifted, member, out=shifted)
-        np.bitwise_or(sums, shifted, out=sums)
-        np.left_shift(bits, np.uint64(width - 1 - a), out=shifted)
-        np.bitwise_and(shifted, member, out=shifted)
-        np.bitwise_or(diffs, shifted, out=diffs)
-    return sums, diffs
 
 
 def _grow(base: int, positions: Sequence[int], max_size: Optional[int] = None
@@ -301,31 +274,85 @@ def _card_chunk(task: tuple[int, int]) -> tuple[int, int, int, int, list[tuple]]
     return total, mstd, mdts, total - mstd - mdts, witnesses
 
 
+def _bit_slices(rows: np.ndarray) -> np.ndarray:
+    """The (count, n) 0/1 ``uint8`` membership ``rows`` as (n, ceil(count / 64))
+    ``uint64`` words: bit k of word j in row a is ``rows[64 j + k, a]``.
+
+    Padding bits past ``count`` are zero, so they stand for empty sets.
+    """
+    count, n = rows.shape
+    x = np.zeros((n, 8 * -(-count // 64)), dtype=np.uint8)
+    step = max(1, _BLOCK_BYTES // count)
+    for a in range(0, n, step):
+        # packing along the strided axis is several times slower than copying first
+        x[a:a + step, :-(-count // 8)] = np.packbits(
+            np.ascontiguousarray(rows[:, a:a + step].T), axis=1, bitorder="little")
+    return x.view(np.uint64)
+
+
+def _column_counts(words: np.ndarray, count: int) -> np.ndarray:
+    """For each sample k < ``count``, how many rows of ``words`` have bit k set."""
+    rows = len(words)
+    total = np.zeros(64 * words.shape[1], dtype=np.uint8 if rows <= 255 else np.uint16)
+    octets = words.view(np.uint8)
+    step = max(1, _BLOCK_BYTES // total.size)
+    for r in range(0, rows, step):
+        total += np.add.reduce(np.unpackbits(octets[r:r + step], axis=1, bitorder="little"),
+                               axis=0, dtype=total.dtype)
+    return total[:count]
+
+
+def _slice_counts(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(|A+A|, |A-A|) of each row of a (count, n) 0/1 ``uint8`` membership matrix.
+
+    Row k is the set of positions a with ``rows[k, a]`` = 1. Bit-sliced
+    (``_bit_slices``), the sums a + b and the differences b - a >= 0 of
+    64 sets at a time take three word operations per pair of positions
+    a <= b, in 3n numpy calls. A row's differences are symmetric around
+    0, which every nonempty set has, so |A-A| is twice the nonnegative
+    ones minus that one; an empty row has no sums and no differences.
+    """
+    count, n = rows.shape
+    x = _bit_slices(rows)
+    sums = np.zeros((2 * n - 1, x.shape[1]), dtype=np.uint64)
+    pdiffs = np.zeros_like(x)
+    for a in range(n):
+        both = x[a:] & x[a]  # the samples holding a and b, for each b >= a
+        sums[2 * a:a + n] |= both
+        pdiffs[:n - a] |= both
+    nonempty = np.unpackbits(pdiffs[0].view(np.uint8), bitorder="little")[:count]
+    return (_column_counts(sums, count).astype(np.int32),
+            2 * _column_counts(pdiffs, count).astype(np.int32) - nonempty)
+
+
+def _sample_rows(seed: int, chunk_index: int, count: int, n: int) -> np.ndarray:
+    """A chunk's draw: row k is sample k, and its byte a - 1 is 1 if a is in it.
+
+    The RNG is seeded from (seed, chunk index) alone, so the stream for a
+    chunk never depends on which worker runs it. The rows are those of
+    ``integers(0, 2, size=(count, n), dtype=np.uint8)``, which keeps the
+    top bit of each byte of the generator's stream, read from the raw
+    stream without a bounded-integer draw per byte.
+    """
+    rng = np.random.default_rng([seed, chunk_index])
+    raw = rng.bit_generator.random_raw(-(-count * n // 8)).astype("<u8", copy=False)
+    rows = raw.view(np.uint8)[:count * n].reshape(count, n)
+    rows >>= 7
+    return rows
+
+
 def _sample_chunk(task: tuple[int, int, int, int]) -> tuple[int, int, int, int, list[tuple]]:
     """Classify one fixed-size block of random subsets of [1, n].
 
-    The RNG is seeded from (seed, chunk index) alone, so the stream for a
-    chunk never depends on which worker runs it. An empty draw has no
-    sums and no differences, so it counts as balanced.
+    The counts hold the draw and about half its size again in memory,
+    under 3 count n bytes in all.
     """
     seed, chunk_index, count, n = task
-    rng = np.random.default_rng([seed, chunk_index])
-    rows = rng.integers(0, 2, size=(count, n), dtype=np.uint8)
-    if n <= _WORD_WIDTH:
-        # one packbits call over the whole block, four bytes per row
-        padded = np.zeros((count, _WORD_WIDTH), dtype=np.uint8)
-        padded[:, :n] = rows
-        bits = np.packbits(padded, bitorder="little").view("<u4").astype(np.uint64)
-        sums, diffs = _word_counts(bits, n)  # count <= _SAMPLE_CHUNK <= _BATCH
-        signs = np.sign(np.bitwise_count(sums).astype(np.int8)
-                        - np.bitwise_count(diffs).astype(np.int8))
-    else:
-        packed = np.packbits(rows, axis=1, bitorder="little")
-        bits = [int.from_bytes(row.tobytes(), "little") for row in packed]
-        signs = np.array([(s > f) - (s < f) for s, f in
-                          (_mask_counts(b, n - 1) for b in bits)], dtype=np.int8)
+    rows = _sample_rows(seed, chunk_index, count, n)
+    sums, diffs = _slice_counts(rows)
+    signs = np.sign(sums - diffs)
     mdts, bal, mstd = (int(c) for c in np.bincount(signs + 1, minlength=3))
-    witnesses = [(chunk_index, row_index, _elements(int(bits[row_index]), 1))
+    witnesses = [(chunk_index, row_index, tuple((np.flatnonzero(rows[row_index]) + 1).tolist()))
                  for row_index in np.flatnonzero(signs > 0)[:_WITNESS_CAP].tolist()]
     return count, mstd, mdts, bal, witnesses
 

@@ -28,6 +28,7 @@ import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate, chain
+from numbers import Integral
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from .errors import InvalidParameterError, ResourceLimitError
@@ -64,6 +65,15 @@ def oracle_profile(a: IntegerSet | Iterable[int]) -> SetProfile:
         sum_count=len(sums),
         diff_count=len(diffs),
     )
+
+
+def _integers(caller: str, **values) -> list[int]:
+    """The ``values`` as ints, in order; as for ``IntegerSet`` elements, any
+    value that is not a ``numbers.Integral``, or is a bool, is refused."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise InvalidParameterError(f"{caller}: {name} must be an integer, not {value!r}")
+    return [int(value) for value in values.values()]
 
 
 def _subsets_up_to(m: int, limit: int) -> int:
@@ -104,8 +114,11 @@ class SearchReport:
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
+    successes, trials = _integers("wilson_interval", successes=successes, trials=trials)
     if trials <= 0:
         raise InvalidParameterError("wilson_interval: trials must be positive")
+    if not 0 <= successes <= trials:
+        raise InvalidParameterError("wilson_interval: need 0 <= successes <= trials")
     z = 1.96
     phat = successes / trials
     denom = 1 + z * z / trials
@@ -185,6 +198,7 @@ def exhaustive_by_diameter(d_max: int, workers: int = 1) -> SearchReport:
     Witnesses are the MSTD sets smallest by (diameter, cardinality,
     elements); none exist below diameter 14.
     """
+    d_max, workers = _integers("exhaustive_by_diameter", d_max=d_max, workers=workers)
     if d_max < 0:
         raise InvalidParameterError("exhaustive_by_diameter: d_max must be >= 0")
     if d_max > 26:
@@ -224,6 +238,8 @@ def min_cardinality_scan(d_max: int, card_max: int, workers: int = 1) -> SearchR
     Establishes whether any MSTD set with fewer than 8 elements exists in
     the scanned region (none do).
     """
+    d_max, card_max, workers = _integers("min_cardinality_scan", d_max=d_max,
+                                         card_max=card_max, workers=workers)
     if d_max < 0 or card_max < 1:
         raise InvalidParameterError("min_cardinality_scan: d_max >= 0 and card_max >= 1")
     # the tasks scan {0} with at most card_max - 1 elements of [1, d_max], so
@@ -251,6 +267,8 @@ def sample_mstd_proportion(n: int, samples: int, seed: int,
     is chunked with per-chunk derived seeds, so the report is bit-identical
     for any worker count. The 95% interval is a Wilson score interval.
     """
+    n, samples, seed, workers = _integers("sample_mstd_proportion", n=n, samples=samples,
+                                          seed=seed, workers=workers)
     if n < 1 or n > 10_000:
         raise InvalidParameterError("sample_mstd_proportion: need 1 <= n <= 10**4")
     if samples < 1:
@@ -280,6 +298,7 @@ def find_fill2_seeds(n: int) -> list[tuple[IntegerSet, IntegerSet]]:
     keeps those that are MSTD with hulls complete except within n of each
     extreme. Exhaustive over 2**(2n-3) candidates; capped at n <= 12.
     """
+    (n,) = _integers("find_fill2_seeds", n=n)
     if n < 1:
         raise InvalidParameterError("find_fill2_seeds: n must be >= 1")
     if n > 12:

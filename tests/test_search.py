@@ -12,7 +12,7 @@ from mstd_chains import (Classification, IntegerSet, InvalidParameterError,
                          oracle_profile, profile, sample_mstd_proportion,
                          kernels, search, wilson_interval)
 from mstd_chains.kernels import (_BATCH, _card_chunk, _enum_chunk, _grow, _mask_counts,
-                                 _sample_chunk, _word_counts)
+                                 _sample_chunk, _sample_rows, _slice_counts)
 from mstd_chains.cli import cli_main
 from mstd_chains.search import _worker_count
 
@@ -212,6 +212,21 @@ def test_sampling_validation(capsys):
         sample_mstd_proportion(10, 0, seed=1)
     with pytest.raises(InvalidParameterError):
         sample_mstd_proportion(10, 10, seed=-1)
+    # every count is an integer, never a float, a string or a bool
+    for args in [(10.0, 10, 1), (10, 10.0, 1), (10, 10, 1.0), (10, 10, "1"), (True, 10, 1),
+                 (10, True, 1), (10, 10, False), (10, 10, None)]:
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            sample_mstd_proportion(*args)
+    for call in (lambda: exhaustive_by_diameter(3.0), lambda: exhaustive_by_diameter(True),
+                 lambda: min_cardinality_scan(5.0, 3), lambda: min_cardinality_scan(5, 3.0),
+                 lambda: min_cardinality_scan(5, True), lambda: find_fill2_seeds(True),
+                 lambda: find_fill2_seeds(10.0), lambda: find_fill2_seeds("10")):
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            call()
+    # numpy integers are integers, and give the same report as Python ones
+    assert (sample_mstd_proportion(np.int64(20), np.int32(300), np.uint8(4)).to_json()
+            == sample_mstd_proportion(20, 300, 4).to_json())
+    assert find_fill2_seeds(np.int64(10)) == find_fill2_seeds(10)
     # refused before a single task tuple is built
     start = time.perf_counter()
     with pytest.raises(ResourceLimitError, match="more than 100000000 samples"):
@@ -229,6 +244,12 @@ def test_wilson_interval():
     assert lo < 0.5 < hi
     with pytest.raises(InvalidParameterError):
         wilson_interval(1, 0)
+    lo, hi = wilson_interval(100, 100)  # successes == trials is the edge still allowed
+    assert 0.95 < lo < hi <= 1.0
+    for successes, trials in [(5, 3), (-1, 10), (1, -1), (0.5, 10), (1, 10.0), (True, 10),
+                              (1, "10")]:
+        with pytest.raises(InvalidParameterError):
+            wilson_interval(successes, trials)
 
 
 # ---------------------------------------------------------------------------
@@ -281,39 +302,81 @@ def _referee_sign(bits: int) -> int:
     return (s > f) - (s < f)
 
 
-def test_word_kernel_matches_oracle_on_every_small_set():
-    for d in range(13):
-        bits = np.arange(1, 1 << (d + 1), dtype=np.uint64)
-        sums, diffs = _word_counts(bits, d + 1)
-        for b, s, f in zip(bits.tolist(), np.bitwise_count(sums).tolist(),
-                           np.bitwise_count(diffs).tolist()):
-            p = oracle_profile(i for i in range(d + 1) if (b >> i) & 1)
-            assert (s, f) == (p.sum_count, p.diff_count), (d, b)
+def _membership(masks, n):
+    """The 0/1 rows of the subsets of [1, n] that ``masks`` encode (bit a - 1 for a)."""
+    return ((np.asarray(masks)[:, None] >> np.arange(n)) & 1).astype(np.uint8)
 
 
-def test_word_kernel_full_width_does_not_overflow():
-    rng = np.random.default_rng(31)
-    bits = rng.integers(0, 1 << 31, size=2000, dtype=np.uint64) | np.uint64(1 << 31)
-    sums, diffs = _word_counts(bits, 32)
-    for b, s, f in zip(bits.tolist(), np.bitwise_count(sums).tolist(),
-                       np.bitwise_count(diffs).tolist()):
-        assert (s, f) == _mask_counts(b, 31)
-    with pytest.raises(InvalidParameterError):
-        _word_counts(bits, 33)
+def test_slice_counts_match_oracle_on_every_small_set():
+    for n in range(1, 14):
+        sums, diffs = _slice_counts(_membership(np.arange(1 << n), n))
+        assert (sums[0], diffs[0]) == (0, 0)  # the empty set
+        for mask, s, f in zip(range(1, 1 << n), sums[1:].tolist(), diffs[1:].tolist()):
+            p = oracle_profile(a + 1 for a in range(n) if (mask >> a) & 1)
+            assert (s, f) == (p.sum_count, p.diff_count), (n, mask)
+
+
+def test_slice_counts_accumulator_does_not_overflow(monkeypatch):
+    # 2n - 1 sums: 255 still fit a uint8 count, 257 need a uint16
+    for n in (128, 129, 300):
+        rng = np.random.default_rng(n)
+        rows = rng.integers(0, 2, size=(200, n), dtype=np.uint8)
+        rows[0] = 1  # the whole interval, every sum and difference present
+        rows[1, [0, n - 1]] = 1  # its ends, with a random interior
+        expected = [_mask_counts(int.from_bytes(np.packbits(row, bitorder="little").tobytes(),
+                                                "little"), n - 1) for row in rows[:2]]
+        assert expected[0] == (2 * n - 1, 2 * n - 1)
+        sums, diffs = _slice_counts(rows)
+        assert list(zip(sums[:2].tolist(), diffs[:2].tolist())) == expected
+        # blocks of a few rows and positions at a time give the same counts
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "_BLOCK_BYTES", 500)
+            blocked = _slice_counts(rows)
+        assert (blocked[0] == sums).all() and (blocked[1] == diffs).all()
+
+
+@pytest.mark.parametrize("count, n", [(1, 1), (1, 7), (3, 5), (63, 31), (65, 33), (7, 129),
+                                      (4096, 30), (4095, 65)])
+def test_sample_rows_are_the_uniform_integer_draw(count, n):
+    for seed, chunk_index in [(0, 0), (5, 3), (2**40, 17)]:
+        expected = np.random.default_rng([seed, chunk_index]).integers(
+            0, 2, size=(count, n), dtype=np.uint8)
+        rows = _sample_rows(seed, chunk_index, count, n)
+        assert rows.shape == (count, n) and rows.dtype == np.uint8
+        assert (rows == expected).all()
 
 
 def test_sampling_at_full_width_matches_referee_row_by_row():
-    for chunk_index in range(3):
-        seed, count, n = 5, 4096, 32
-        rows = np.random.default_rng([seed, chunk_index]).integers(
-            0, 2, size=(count, n), dtype=np.uint8)
-        signs = [_referee_sign(int.from_bytes(np.packbits(row, bitorder="little").tobytes(),
-                                              "little")) for row in rows]
-        mstd_rows = [i for i, sign in enumerate(signs) if sign > 0]
-        expected = (count, len(mstd_rows), signs.count(-1), signs.count(0),
-                    [(chunk_index, i, tuple(int(k) + 1 for k in np.flatnonzero(rows[i])))
-                     for i in mstd_rows[:8]])
-        assert _sample_chunk((seed, chunk_index, count, n)) == expected
+    # n around the old 32-position word and 64; counts around the 64-sample words
+    seed = 5
+    for n in (1, 31, 32, 33, 63, 64, 65, 129):
+        for chunk_index, count in enumerate((1, 63, 65, 4095, 4096)):
+            rows = np.random.default_rng([seed, chunk_index]).integers(
+                0, 2, size=(count, n), dtype=np.uint8)
+            signs = [_referee_sign(int.from_bytes(np.packbits(row, bitorder="little").tobytes(),
+                                                  "little")) for row in rows]
+            mstd_rows = [i for i, sign in enumerate(signs) if sign > 0]
+            expected = (count, len(mstd_rows), signs.count(-1), signs.count(0),
+                        [(chunk_index, i, tuple(int(k) + 1 for k in np.flatnonzero(rows[i])))
+                         for i in mstd_rows[:8]])
+            assert _sample_chunk((seed, chunk_index, count, n)) == expected, (n, count)
+
+
+def test_sample_chunk_memory_and_time_are_bounded():
+    import tracemalloc
+
+    count, n = 4096, 2000
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        total = _sample_chunk((1, 0, count, n))[0]
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert total == count
+    assert peak < 3 * count * n, peak
+    assert elapsed < 2.0
 
 
 @pytest.mark.parametrize("task", [(16, 0, 1 << 14), (16, 1 << 14, 1 << 15)])
@@ -350,12 +413,11 @@ def test_card_chunk_spans_batches_and_matches_recount(task):
 
 def test_per_set_branches_match_word_kernels(monkeypatch):
     # Conway-type 8-element sets are MSTD witnesses at d = 14
-    card, sample = _card_chunk((14, 6)), _sample_chunk((5, 0, 4096, 30))
-    assert card[1] > 0 and sample[1] > 0
-    # a narrower word sends both workers down their per-set big-integer branch
+    card = _card_chunk((14, 6))
+    assert card[1] > 0
+    # a narrower word sends the cardinality worker down its per-set big-integer branch
     monkeypatch.setattr(kernels, "_WORD_WIDTH", 8)
     assert _card_chunk((14, 6)) == card
-    assert _sample_chunk((5, 0, 4096, 30)) == sample
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +541,9 @@ def test_pinned_landscape_counts():
 
 
 def test_search_reports_match_golden_file():
-    # sampling at n > 32 and cardinality scans past d = 31 take the
-    # big-integer path, which no other test pins
+    # cardinality scans past d = 31 take the big-integer path, which no
+    # other test pins; the sampling reports pin each chunk's draw and the
+    # bit-sliced counts at n = 30, 40 and 200
     reports = {
         "exhaustive_by_diameter(16)": exhaustive_by_diameter(16),
         "exhaustive_by_diameter(16, workers=2)": exhaustive_by_diameter(16, workers=2),
@@ -513,6 +576,14 @@ def test_worker_count_clamps_and_rejects(monkeypatch):
             _worker_count(bad, 100)
     with pytest.raises(InvalidParameterError):
         exhaustive_by_diameter(3, workers=0)
+    for bad in (2.0, True, "2", None):
+        for call in (lambda: exhaustive_by_diameter(3, workers=bad),
+                     lambda: min_cardinality_scan(5, 3, workers=bad),
+                     lambda: sample_mstd_proportion(5, 10, 1, workers=bad)):
+            with pytest.raises(InvalidParameterError, match="workers must be an integer"):
+                call()
+    assert (exhaustive_by_diameter(5, workers=np.int64(2)).to_json()
+            == exhaustive_by_diameter(5).to_json())
 
 
 def test_pool_is_reused_then_replaced_on_count_change(monkeypatch):
