@@ -13,7 +13,7 @@ from .chains import (ChainRecord, ChainStep, METHOD_TAGS, VerificationReport,
                      iter_fill1_chain, iter_fill2_chain, iter_nonfill_chain,
                      iter_thm31_chain, nonfill_chain, thm31_chain,
                      verify_chain)
-from .constructions import (ConditionReport, MultiDimAP, NathansonParams,
+from .constructions import (ConditionReport, NathansonParams,
                             check_thm31_conditions, from_config,
                             interval_minus_point, mdts_interval_plus_point,
                             miller_mstd, nathanson_mstd, nonfill_explicit_mdts,

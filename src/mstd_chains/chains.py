@@ -27,12 +27,12 @@ from fractions import Fraction
 from itertools import filterfalse
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .constructions import (MultiDimAP, NathansonParams, _check_fringe_seed,
-                            _hole_interval, _nonfill_add_point, _nonfill_mstd,
+from .constructions import (NathansonParams, _check_fringe_seed, _hole_interval,
+                            _nonfill_add_point, _nonfill_mstd,
                             mdts_interval_plus_point, nathanson_mstd, thm31_base)
 from .errors import ChainBreakError, InvalidParameterError
-from .intset import (Classification, IntegerSet, SetProfile, affine, classify,
-                     profile)
+from .intset import (Classification, IntegerSet, SetProfile, _integers, affine,
+                     classify, profile)
 from .rounding import round3_float
 
 METHOD_TAGS = ("fill1", "fill2", "nonfill", "thm31")
@@ -168,6 +168,7 @@ def _rule_witnesses(steps: Sequence[ChainStep], profiles: Sequence[SetProfile]
 
 def _assemble(method: str, stream: Iterable[IntegerSet],
               num_steps: int, no_fill_in_required: bool) -> ChainRecord:
+    (num_steps,) = _integers("chain", num_steps=num_steps)
     if num_steps < 1:
         raise InvalidParameterError("chain: num_steps must be >= 1")
     steps = [ChainStep(index=index, set=current, profile=profile(current))
@@ -200,7 +201,7 @@ def iter_fill1_chain(seed: IntegerSet) -> Iterator[IntegerSet]:
         n = p + 2
         r = n - 3  # p - 1 > m, so the hole misses [0, m] | {p}
         current = nathanson_mstd(NathansonParams(m=n, B=_hole_interval(n, r),
-                                                 lstar=MultiDimAP.point(r), k=2))
+                                                 lstar=IntegerSet([r]), k=2))
         yield current
 
 
@@ -218,6 +219,7 @@ def iter_fill2_chain(L: IntegerSet, R: IntegerSet, n: int) -> Iterator[IntegerSe
     grows by exactly n. The seed L | R must meet the hypotheses of
     ``miller_mstd`` and must not contain n, the hole of every filled step.
     """
+    (n,) = _integers("fill2_chain", n=n)
     if n in L or n in R:
         raise InvalidParameterError("fill2_chain: n must not be an element of L | R")
     seed = _check_fringe_seed(L, R, n, "fill2_chain")

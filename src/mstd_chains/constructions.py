@@ -16,48 +16,12 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import islice, product
+from itertools import islice
 from typing import Optional
 
 from .errors import InvalidParameterError
-from .intset import (Classification, IntegerSet, affine, classify, diffset,
-                     is_pn, sumset)
-
-
-@dataclass(frozen=True)
-class MultiDimAP:
-    """A multi-dimensional arithmetic progression.
-
-    Expands to {base + sum(x_i * steps[i])} where each coordinate x_i runs
-    over starts[i] .. starts[i] + lengths[i] - 1. Dimension 0 is the single
-    point {base}.
-    """
-
-    base: int
-    steps: tuple[int, ...] = ()
-    starts: tuple[int, ...] = ()
-    lengths: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if not (len(self.steps) == len(self.starts) == len(self.lengths)):
-            raise InvalidParameterError("MultiDimAP: steps/starts/lengths lengths differ")
-        if any(k < 1 for k in self.lengths):
-            raise InvalidParameterError("MultiDimAP: every length must be >= 1")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.steps)
-
-    @staticmethod
-    def point(value: int) -> "MultiDimAP":
-        return MultiDimAP(base=value)
-
-    def expansion(self) -> IntegerSet:
-        axes = [range(lo, lo + k) for lo, k in zip(self.starts, self.lengths)]
-        return IntegerSet(
-            self.base + sum(x * m for x, m in zip(coords, self.steps))
-            for coords in product(*axes)
-        )
+from .intset import (Classification, IntegerSet, _integers, affine, classify,
+                     diffset, is_pn, sumset)
 
 
 @dataclass(frozen=True)
@@ -65,38 +29,38 @@ class NathansonParams:
     """Inputs for the interval-with-hole MSTD construction.
 
     ``B`` must be a subset of [0, m-1] whose sumset is the full interval
-    [0, 2m-2] and whose difference set is [-(m-1), m-1]; ``lstar`` expands
-    inside the complement of B with its predecessor in B, and m must not be
-    a sum of two lstar elements; k >= 2 controls the ladder length.
+    [0, 2m-2] and whose difference set is [-(m-1), m-1]; ``lstar`` is a
+    nonempty set inside the complement of B with its predecessor in B, and
+    m must not be a sum of two lstar elements; k >= 2 controls the ladder
+    length. m and k are integers.
     """
 
     m: int
     B: IntegerSet
-    lstar: MultiDimAP
+    lstar: IntegerSet
     k: int
 
     def validate(self) -> None:
-        if self.m < 4:
+        m, k = _integers("nathanson_mstd", m=self.m, k=self.k)
+        if m < 4:
             raise InvalidParameterError("nathanson_mstd: m must be >= 4")
-        if self.k < 2:
+        if k < 2:
             raise InvalidParameterError("nathanson_mstd: k must be >= 2")
         B = self.B
-        if B.is_empty or not (0 <= B.min and B.max <= self.m - 1):
+        if B.is_empty or not (0 <= B.min and B.max <= m - 1):
             raise InvalidParameterError("nathanson_mstd: B must lie inside [0, m-1]")
-        if sumset(B) != IntegerSet.interval(0, 2 * self.m - 2):
+        if sumset(B) != IntegerSet.interval(0, 2 * m - 2):
             raise InvalidParameterError("nathanson_mstd: B+B must equal [0, 2m-2]")
-        if diffset(B) != IntegerSet.interval(-(self.m - 1), self.m - 1):
+        if diffset(B) != IntegerSet.interval(-(m - 1), m - 1):
             raise InvalidParameterError("nathanson_mstd: B-B must equal [-(m-1), m-1]")
-        ex = self.lstar.expansion()
-        if ex.is_empty:
-            raise InvalidParameterError("nathanson_mstd: lstar expansion is empty")
-        if not (0 <= ex.min and ex.max <= self.m - 1) or not ex.intersection(B).is_empty:
-            raise InvalidParameterError(
-                "nathanson_mstd: lstar must expand inside [0, m-1] \\ B"
-            )
-        if (ex.min - 1) not in B:
+        lstar = self.lstar
+        if lstar.is_empty:
+            raise InvalidParameterError("nathanson_mstd: lstar must be nonempty")
+        if not (0 <= lstar.min and lstar.max <= m - 1) or not lstar.intersection(B).is_empty:
+            raise InvalidParameterError("nathanson_mstd: lstar must lie inside [0, m-1] \\ B")
+        if (lstar.min - 1) not in B:
             raise InvalidParameterError("nathanson_mstd: min(lstar) - 1 must be in B")
-        if self.m in sumset(ex):
+        if m in sumset(lstar):
             raise InvalidParameterError("nathanson_mstd: m must not be in lstar + lstar")
 
 
@@ -117,6 +81,7 @@ def interval_minus_point(m: int, r: int) -> IntegerSet:
     Requires m >= 4 and 2 <= r <= m-3; under those bounds the result keeps
     the full sum hull [0, 2m-2] and difference hull [-(m-1), m-1].
     """
+    m, r = _integers("interval_minus_point", m=m, r=r)
     if m < 4:
         raise InvalidParameterError("interval_minus_point: m must be >= 4")
     if not (2 <= r <= m - 3):
@@ -137,10 +102,9 @@ def nathanson_mstd(params: NathansonParams) -> IntegerSet:
     The output is B, ladder, mirror, and the point m, together.
     """
     params.validate()
-    m, B, k = params.m, params.B, params.k
-    ex = params.lstar.expansion()
-    ladder = IntegerSet(m - s + m * j for s in ex for j in range(1, k + 1))
-    c = (k + 3) * m - ex.min - ex.max
+    m, B, k, lstar = int(params.m), params.B, int(params.k), params.lstar
+    ladder = IntegerSet(m - s + m * j for s in lstar for j in range(1, k + 1))
+    c = (k + 3) * m - lstar.min - lstar.max
     out = B.union(ladder, affine(B, -1, c), IntegerSet([m]))
     _require_classification(out, Classification.MSTD, "nathanson_mstd")
     return out
@@ -152,6 +116,7 @@ def mdts_interval_plus_point(m: int, p: int) -> tuple[IntegerSet, int]:
     Returns (set, surplus) where surplus = |A-A| - |A+A| equals m when
     p > 2m and p - m - 1 otherwise; the set is always MDTS.
     """
+    m, p = _integers("mdts_interval_plus_point", m=m, p=p)
     if m < 1:
         raise InvalidParameterError("mdts_interval_plus_point: m must be >= 1")
     if p <= m + 1:
@@ -211,6 +176,7 @@ def miller_mstd(L: IntegerSet, R: IntegerSet, n: int, k: int, m: int,
     output L | [n+1, n+k] | middle | [n+k+m+1, n+2k+m] | (R + 2k + m)
     is again MSTD.
     """
+    n, k, m = _integers("miller_mstd", n=n, k=k, m=m)
     middle = IntegerSet() if middle is None else middle
     _check_fringe_seed(L, R, n, "miller_mstd")
     if k < n:
@@ -260,6 +226,7 @@ def nonfill_explicit_mstd(l: int) -> IntegerSet:
     interval [-8l-10, 8l+10] minus the pair +-(8l+3), so it has 16l+20
     sums against 16l+19 differences.
     """
+    (l,) = _integers("nonfill_explicit_mstd", l=l)
     if l < 1:
         raise InvalidParameterError("nonfill_explicit_mstd: l must be >= 1")
     out = _nonfill_mstd(l)
@@ -277,6 +244,7 @@ def nonfill_explicit_mdts(l: int) -> IntegerSet:
     Adds the single element 8l+14 to step 2l-1, which brings exactly 4 new
     sums and 6 new differences: 16l+24 sums against 16l+25 differences.
     """
+    (l,) = _integers("nonfill_explicit_mdts", l=l)
     if l < 1:
         raise InvalidParameterError("nonfill_explicit_mdts: l must be >= 1")
     out = _nonfill_add_point(_nonfill_mstd(l), l)
@@ -335,6 +303,7 @@ def check_thm31_conditions(L: IntegerSet, R: IntegerSet, n: int,
     if mode not in ("strict", "generalized"):
         raise InvalidParameterError("check_thm31_conditions: mode must be "
                                     "'strict' or 'generalized'")
+    (n,) = _integers("check_thm31_conditions", n=n)
     if n < 1:
         raise InvalidParameterError("check_thm31_conditions: n must be >= 1")
     for name, S in (("L", L), ("R", R)):
@@ -375,6 +344,7 @@ def thm31_base(L: IntegerSet, R: IntegerSet, n: int, m: int,
     and that the output's sumset covers [n+1, 2m+n-1] lacking at most one
     element; the output then classifies MSTD.
     """
+    n, m = _integers("thm31_base", n=n, m=m)
     report = check_thm31_conditions(L, R, n, mode)
     if not report:
         raise InvalidParameterError(
@@ -397,9 +367,7 @@ def from_config(config: dict) -> IntegerSet:
 
     The bundle is keyed by construction name, e.g.
     ``{"construction": "mdts_interval_plus_point", "m": 14, "p": 17}``.
-    Set-valued fields are element lists; the ladder parameter of
-    ``nathanson_mstd`` is {"base": ..., "steps": [...], "starts": [...],
-    "lengths": [...]}.
+    Set-valued fields, ``lstar`` among them, are element lists.
     """
     cfg = dict(config)
     try:
@@ -409,19 +377,8 @@ def from_config(config: dict) -> IntegerSet:
     if kind == "interval_minus_point":
         return interval_minus_point(cfg["m"], cfg["r"])
     if kind == "nathanson_mstd":
-        ap = cfg["lstar"]
-        params = NathansonParams(
-            m=cfg["m"],
-            B=IntegerSet(cfg["B"]),
-            lstar=MultiDimAP(
-                base=ap["base"],
-                steps=tuple(ap.get("steps", ())),
-                starts=tuple(ap.get("starts", ())),
-                lengths=tuple(ap.get("lengths", ())),
-            ),
-            k=cfg["k"],
-        )
-        return nathanson_mstd(params)
+        return nathanson_mstd(NathansonParams(m=cfg["m"], B=IntegerSet(cfg["B"]),
+                                              lstar=IntegerSet(cfg["lstar"]), k=cfg["k"]))
     if kind == "mdts_interval_plus_point":
         return mdts_interval_plus_point(cfg["m"], cfg["p"])[0]
     if kind == "miller_mstd":

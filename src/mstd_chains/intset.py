@@ -127,6 +127,15 @@ def _pack(runs: Iterable[tuple[int, int]], width: int) -> int:
     return int.from_bytes(buf, "little")
 
 
+def _integers(caller: str, **values) -> list[int]:
+    """The ``values`` as ints, in order; as for ``IntegerSet`` elements, any
+    value that is not a ``numbers.Integral``, or is a bool, is refused."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise InvalidParameterError(f"{caller}: {name} must be an integer, not {value!r}")
+    return [int(value) for value in values.values()]
+
+
 class IntegerSet:
     """Immutable finite set of integers, kept strictly increasing.
 
@@ -587,6 +596,7 @@ def is_pn(a: IntegerSet, n: int) -> bool:
     ranges are empty.
     """
     _require_nonempty(a, "is_pn")
+    (n,) = _integers("is_pn", n=n)
     if n < 0:
         raise InvalidParameterError("is_pn: n must be nonnegative")
     lo, hi = a.min, a.max

@@ -6,16 +6,21 @@ is loaded before a worker pool forks); every other command runs without
 numpy.
 
 A set inside [0, 32) is one ``uint64`` word, and so are its sum and
-difference words. The exhaustive, cardinality and seed scans build each
-set from one with an element fewer, since (A | {x}) + (A | {x}) =
-(A + A) | (A + x) | {2x}: ``_grow`` extends the words of a whole batch
-by one position with a few in-place word operations. Without a size
-limit (exhaustive and seed scans) a batch doubles once per position; with
-one (cardinality scans) it grows by size layers, each layer one gather of
+difference words. The subset and seed scans build each set from one with
+an element fewer, since (A | {x}) + (A | {x}) = (A + A) | (A + x) | {2x}:
+``_grow`` extends the words of a whole batch by one position with a few
+in-place word operations. When a size limit leaves no position out (the
+exhaustive and seed scans) a batch doubles once per position; otherwise
+(cardinality scans) it grows by size layers, each layer one gather of
 its parents' words from the layer before, so its cost does not grow with
-the number of positions a limit leaves out. Cardinality scans past
-diameter 31 count one set at a time with the big-integer loop
-``_mask_counts``: their sets have few elements in a wide window.
+the number of positions a limit leaves out.
+
+``_subset_chunk`` is the one worker of both subset scans: a task is the
+sets of one diameter d that add at most a given number of free positions
+to a base. Below the word width it runs ``_grow``; past it, where only
+cardinality scans reach, their sets have few elements in a wide window
+and it counts one set at a time with the big-integer loop
+``_mask_counts``.
 
 Random samples share no prefix, so sampling classifies each chunk from
 scratch, bit-sliced: for each position a, bit k of a ``uint64`` word
@@ -32,11 +37,11 @@ import math
 from functools import lru_cache, reduce
 from itertools import combinations
 from operator import or_
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .search import _WITNESS_CAP, _subsets_up_to
+from .search import _WITNESS_CAP, _split, _subsets_up_to
 
 # most sets one kernel call holds; its five working words take 640 KiB
 _BATCH = 1 << 14
@@ -85,31 +90,11 @@ def _grow(base: int, positions: Sequence[int], max_size: Optional[int] = None
     limit = m if max_size is None else min(max_size, m)
     # no batch holds more sets than the whole request or than _BATCH
     words = np.empty((4, min(_subsets_up_to(m, limit), _BATCH)), dtype=np.uint64)
-    for base, positions, limit, count in _split(base, positions, max_size):
+    for base, positions, limit, count in _split(base, positions, max_size, _BATCH):
         if limit < len(positions):
             yield _layer_batch(base, positions, limit, count, words)
         else:
             yield _grow_batch(base, positions, words)
-
-
-def _split(base: int, positions: Sequence[int], max_size: Optional[int]
-           ) -> Iterator[tuple[int, Sequence[int], int, int]]:
-    """(base, positions, limit, count) requests of count <= ``_BATCH`` sets, in counter order.
-
-    A larger request splits on its top position: the sets without it come
-    first, then those with it.
-    """
-    m = len(positions)
-    limit = m if max_size is None else min(max_size, m)
-    if limit < 0:
-        return
-    count = _subsets_up_to(m, limit)
-    if count <= _BATCH:
-        yield base, positions, limit, count
-        return
-    yield from _split(base, positions[:-1], max_size)
-    yield from _split(base | 1 << positions[-1], positions[:-1],
-                      None if max_size is None else max_size - 1)
 
 
 def _start(base: int, positions: Sequence[int], total: int, words: np.ndarray
@@ -213,62 +198,49 @@ def _elements(bits: int, offset: int = 0) -> tuple[int, ...]:
     return tuple(i + offset for i in range(bits.bit_length()) if (bits >> i) & 1)
 
 
-def _grown_chunk(batches: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]],
-                 key) -> tuple[int, int, int, int, list[tuple]]:
-    """(examined, mstd, mdts, balanced, witnesses) of a chunk's ``_grow`` batches.
+def _subset_chunk(task: tuple[int, int, Sequence[int], int, int]
+                  ) -> tuple[int, int, int, int, list[tuple]]:
+    """Classify every set {d} | base | T, T a subset of ``positions`` with |T| <= limit.
 
-    A witness is ``key(elements)``. Keys of one chunk order by cardinality
-    first, so only the MSTD sets of the smallest cardinalities are turned
-    into element tuples.
+    The task is d with one of ``search._split``'s requests below d, so d
+    is the diameter of all its sets. A witness is (d, |A|, elements).
+    Below the word width the sets come from ``_grow``, and only the MSTD
+    sets of the smallest cardinalities of a batch are turned into element
+    tuples; past it, ``_mask_counts`` counts one set at a time.
     """
+    d, base, positions, limit, _ = task
+    base |= 1 << d
     total = mstd = mdts = 0
     witnesses: list[tuple] = []
-    for bits, sums, pdiffs in batches:
-        hits, more, fewer = _grow_tally(sums, pdiffs)
-        total += bits.size
-        mstd += more
-        mdts += fewer
-        if more:
-            found = bits[hits]
-            cards = np.bitwise_count(found)
-            k = min(_WITNESS_CAP, more) - 1
-            cut = np.partition(cards, k)[k]
-            witnesses += (key(_elements(b)) for b in found[cards <= cut].tolist())
-            witnesses = sorted(witnesses)[:_WITNESS_CAP]
-    return total, mstd, mdts, total - mstd - mdts, witnesses
-
-
-def _enum_chunk(task: tuple[int, int, int]) -> tuple[int, int, int, int, list[tuple]]:
-    """Classify interior masks [lo, hi) at diameter d.
-
-    hi - lo is a power of two and lo a multiple of it, so the chunk is the
-    high interior bits of lo with every subset of the low log2(hi - lo).
-    """
-    d, lo, hi = task
-    low = range(1, (hi - lo).bit_length())
-    return _grown_chunk(_grow((lo << 1) | 1 | (1 << d), low), lambda e: (d, len(e), e))
-
-
-def _card_chunk(task: tuple[int, int]) -> tuple[int, int, int, int, list[tuple]]:
-    """Classify all sets {0, d} + (at most j_max interior elements)."""
-    d, j_max = task
-    endpoints = 1 | (1 << d)
     if d < _WORD_WIDTH:
-        return _grown_chunk(_grow(endpoints, range(1, d), j_max), lambda e: (len(e), d, e))
-    total = mstd = mdts = 0
-    witnesses: list[tuple] = []
-    for j in range(j_max + 1):
+        for bits, sums, pdiffs in _grow(base, positions, limit):
+            hits, more, fewer = _grow_tally(sums, pdiffs)
+            total += bits.size
+            mstd += more
+            mdts += fewer
+            if more:
+                found = bits[hits]
+                cards = np.bitwise_count(found)
+                k = min(_WITNESS_CAP, more) - 1
+                cut = np.partition(cards, k)[k]
+                witnesses += ((d, len(e), e) for e in map(_elements, found[cards <= cut].tolist()))
+                witnesses = sorted(witnesses)[:_WITNESS_CAP]
+        return total, mstd, mdts, total - mstd - mdts, witnesses
+    for j in range(limit + 1):
         # combinations() copies its pool even for j = 0, which would cost
         # O(d) per diameter in the common card_max = 2 scan
-        for combo in combinations(range(1, d), j) if j else [()]:
-            s, f = _mask_counts(endpoints | sum(1 << c for c in combo), d)
+        for combo in combinations(positions, j) if j else [()]:
+            bits = base | sum(1 << c for c in combo)
+            s, f = _mask_counts(bits, d)
             total += 1
             if s > f:
                 mstd += 1
                 # sizes come in increasing order and each size's combinations
-                # in lexicographic order, so the first hits are the smallest
+                # in lexicographic order, below the base's top positions, so
+                # the first hits are the smallest
                 if len(witnesses) < _WITNESS_CAP:
-                    witnesses.append((j + 2, d, (0, *combo, d)))
+                    elements = _elements(bits)
+                    witnesses.append((d, len(elements), elements))
             elif s < f:
                 mdts += 1
     return total, mstd, mdts, total - mstd - mdts, witnesses

@@ -6,11 +6,17 @@ machinery, the exhaustive scans establish desk-scale facts (no MSTD set
 below diameter 14 or with fewer than 8 elements in the scanned region),
 and the seeded sampler estimates how common MSTD subsets are.
 
-Enumerations walk interior subsets as plain binary counters, so the work
-splits into contiguous numeric ranges. Chunk boundaries and per-chunk RNG
-seeds depend only on the request, never on the worker count, and results
-merge associatively: reports are identical no matter how the work was
-partitioned.
+The exhaustive and the cardinality scan are one scan (``_subset_scan``):
+every subset of [0, d] holding 0 and d, for each d <= d_max, with at most
+card_max elements; the exhaustive scan leaves no size out. ``_split``
+cuts the sets of one diameter on its top free position into tasks of at
+most ``_TASK_SETS`` sets, and the kernels cut a task into batches the
+same way. One budget of ``_SET_BUDGET`` sets, counted in closed form
+before any task is built, bounds both scans and the sampler.
+
+Task boundaries and per-chunk RNG seeds depend only on the request,
+never on the worker count, and results merge associatively: reports are
+identical no matter how the work was partitioned.
 
 The chunk workers and their word-level kernels live in ``kernels``, the
 package's only numpy module. Each driver imports it before any work
@@ -29,17 +35,18 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate, chain
 from numbers import Integral
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from .errors import InvalidParameterError, ResourceLimitError
-from .intset import IntegerSet, SetProfile
+from .intset import IntegerSet, SetProfile, _integers
 
 if TYPE_CHECKING:
     from multiprocessing.pool import Pool
 
-# interior masks per exhaustive task: several kernel batches, so that a
-# task's work outweighs handing it to a worker
-_ENUM_CHUNK = 1 << 17
+# most sets per scan task: several kernel batches, so that a task's work
+# outweighs handing it to a worker
+_TASK_SETS = 1 << 17
 _SAMPLE_CHUNK = 1 << 12
 _WITNESS_CAP = 8
 _ORACLE_CARD_CAP = 10_000
@@ -50,9 +57,14 @@ def oracle_profile(a: IntegerSet | Iterable[int]) -> SetProfile:
     """Profile by explicit double loops over Python integers.
 
     Deliberately naive and independent: no bit-vectors, no numpy, no code
-    shared with the fast path. Capped at 10**4 elements.
+    shared with the fast path. Capped at 10**4 elements. As for
+    ``IntegerSet``, every element must be a ``numbers.Integral`` and no bool.
     """
-    els = [int(x) for x in a]
+    els = list(a)
+    for x in els:
+        if isinstance(x, bool) or not isinstance(x, Integral):
+            raise InvalidParameterError(f"oracle_profile: element {x!r} is not an integer")
+    els = [int(x) for x in els]
     if not els:
         raise InvalidParameterError("oracle_profile: set must be nonempty")
     if len(els) > _ORACLE_CARD_CAP:
@@ -67,18 +79,30 @@ def oracle_profile(a: IntegerSet | Iterable[int]) -> SetProfile:
     )
 
 
-def _integers(caller: str, **values) -> list[int]:
-    """The ``values`` as ints, in order; as for ``IntegerSet`` elements, any
-    value that is not a ``numbers.Integral``, or is a bool, is refused."""
-    for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, Integral):
-            raise InvalidParameterError(f"{caller}: {name} must be an integer, not {value!r}")
-    return [int(value) for value in values.values()]
-
-
 def _subsets_up_to(m: int, limit: int) -> int:
     """How many subsets of an m-element set have at most ``limit`` elements."""
     return sum(math.comb(m, i) for i in range(limit + 1))
+
+
+def _split(base: int, positions: Sequence[int], max_size: Optional[int], cap: int
+           ) -> Iterator[tuple[int, Sequence[int], int, int]]:
+    """(base, positions, limit, count) requests of count <= ``cap`` sets, in counter order.
+
+    The request is every set base | T, T a subset of ``positions`` with
+    |T| <= ``max_size`` (no limit when it is None). A larger request splits
+    on its top position: the sets without it come first, then those with it.
+    """
+    m = len(positions)
+    limit = m if max_size is None else min(max_size, m)
+    if limit < 0:
+        return
+    count = _subsets_up_to(m, limit)
+    if count <= cap:
+        yield base, positions, limit, count
+        return
+    yield from _split(base, positions[:-1], max_size, cap)
+    yield from _split(base | 1 << positions[-1], positions[:-1],
+                      None if max_size is None else max_size - 1, cap)
 
 
 @dataclass(frozen=True)
@@ -124,7 +148,8 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     denom = 1 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
     half = (z / denom) * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials))
-    return (max(0.0, center - half), min(1.0, center + half))
+    # at successes == trials, center + half is 1 exactly but rounds below it
+    return (max(0.0, center - half), 1.0 if successes == trials else min(1.0, center + half))
 
 
 # (owning process id, worker count, pool). The owner is recorded so that a
@@ -172,87 +197,85 @@ def _run_tasks(worker, tasks: Sequence, workers: int) -> list:
         raise
 
 
-def _scan(worker, tasks: Sequence, workers: int, domain: str, **extra) -> SearchReport:
+def _scan(worker, tasks: Sequence, workers: int, domain: str, order=None,
+          **extra) -> SearchReport:
     """Run the chunk tasks and fold their results into one report.
 
     Each chunk returns (examined, mstd, mdts, balanced, witnesses), where a
-    witness is a sort key ending in the set's elements. Counts add up and
-    the report keeps the ``_WITNESS_CAP`` smallest keys of all chunks, so it
+    witness is a sort key ending in the set's elements, and a chunk's
+    witnesses are its ``_WITNESS_CAP`` smallest under ``order`` too. Counts
+    add up and the report keeps the ``_WITNESS_CAP`` keys of all chunks
+    smallest under ``order`` (the keys themselves when it is None), so it
     does not depend on how the tasks were split between workers.
     """
     parts = _run_tasks(worker, tasks, workers)
     total, mstd, mdts, bal = (sum(p[i] for p in parts) for i in range(4))
-    keys = sorted(chain.from_iterable(p[4] for p in parts))[:_WITNESS_CAP]
+    keys = sorted(chain.from_iterable(p[4] for p in parts), key=order)[:_WITNESS_CAP]
     return SearchReport(domain=domain, total_examined=total, mstd_count=mstd,
                         mdts_count=mdts, balanced_count=bal,
                         witnesses=tuple(IntegerSet(k[-1]) for k in keys), **extra)
 
 
 # ---------------------------------------------------------------------------
-# exhaustive enumeration by diameter
+# subset scans: exhaustive by diameter, and bounded cardinality
 # ---------------------------------------------------------------------------
+
+def _subset_scan(caller: str, d_max: int, card_max: int, workers: int, domain: str,
+                 order=None) -> SearchReport:
+    """Classify every subset of [0, d] with 0, d and at most card_max elements,
+    for all d <= d_max.
+
+    A ``kernels._subset_chunk`` task is (d, base, positions, limit, count):
+    its sets are {d} | base | T, T at most ``limit`` of ``positions``, where
+    base holds 0 and any top positions ``_split`` fixed. d stays out of
+    base, so the task list holds no d-bit integer per diameter. Every task
+    has one diameter, so its witnesses, keyed (d, |A|, elements), are its
+    smallest under any ``order`` that compares d and |A| before the
+    elements.
+    """
+    # each set is {0} with fewer than card_max elements of [1, d_max], the
+    # largest of them d, so C(d_max, i) sets for each i < card_max; the
+    # running total stops past the budget
+    sizes = (math.comb(d_max, i) for i in range(min(card_max, d_max + 1)))
+    if any(total > _SET_BUDGET for total in accumulate(sizes)):
+        raise ResourceLimitError(f"{caller}: more than {_SET_BUDGET} sets")
+    tasks = [(d, *task) for d in range(d_max, -1, -1)
+             for task in _split(1, range(1, d), card_max - (2 if d else 1), _TASK_SETS)]
+    # largest first, so that no big task is left for one worker at the end
+    tasks.sort(key=itemgetter(4), reverse=True)
+    from .kernels import _subset_chunk
+    return _scan(_subset_chunk, tasks, workers, domain, order)
+
 
 def exhaustive_by_diameter(d_max: int, workers: int = 1) -> SearchReport:
     """Classify every subset of [0, d] containing 0 and d, for all d <= d_max.
 
     Witnesses are the MSTD sets smallest by (diameter, cardinality,
-    elements); none exist below diameter 14.
+    elements); none exist below diameter 14. The 2**d_max sets must fit
+    the set budget, so d_max <= 26.
     """
     d_max, workers = _integers("exhaustive_by_diameter", d_max=d_max, workers=workers)
     if d_max < 0:
         raise InvalidParameterError("exhaustive_by_diameter: d_max must be >= 0")
-    if d_max > 26:
-        raise ResourceLimitError("exhaustive_by_diameter: d_max capped at 26")
-    tasks: list[tuple[int, int, int]] = []
-    # largest diameters first, so that no big task is left for one worker at the end
-    for d in range(d_max, -1, -1):
-        interior = 1 << max(d - 1, 0)
-        for lo in range(0, interior, _ENUM_CHUNK):
-            tasks.append((d, lo, min(lo + _ENUM_CHUNK, interior)))
-    from .kernels import _enum_chunk
-    return _scan(_enum_chunk, tasks, workers,
-                 f"subsets of [0,d] containing 0 and d, 0 <= d <= {d_max}")
-
-
-# ---------------------------------------------------------------------------
-# bounded-cardinality scan
-# ---------------------------------------------------------------------------
-
-def _card_tasks(d_max: int, card_max: int) -> Iterator[tuple[int, int]]:
-    """One (d, j_max) task per diameter: {0, d} and up to j_max interior elements."""
-    yield 0, 0
-    if card_max >= 2:
-        for d in range(1, d_max + 1):
-            yield d, min(card_max - 2, d - 1)
-
-
-def _card_task_size(task: tuple[int, int]) -> int:
-    """How many sets a ``kernels._card_chunk`` task classifies."""
-    d, j_max = task
-    return _subsets_up_to(max(d - 1, 0), j_max)
+    return _subset_scan("exhaustive_by_diameter", d_max, d_max + 1, workers,
+                        f"subsets of [0,d] containing 0 and d, 0 <= d <= {d_max}")
 
 
 def min_cardinality_scan(d_max: int, card_max: int, workers: int = 1) -> SearchReport:
     """Classify subsets of [0, d] with 0, d and at most card_max elements.
 
     Establishes whether any MSTD set with fewer than 8 elements exists in
-    the scanned region (none do).
+    the scanned region (none do). Witnesses are the MSTD sets smallest by
+    (cardinality, diameter, elements).
     """
     d_max, card_max, workers = _integers("min_cardinality_scan", d_max=d_max,
                                          card_max=card_max, workers=workers)
     if d_max < 0 or card_max < 1:
         raise InvalidParameterError("min_cardinality_scan: d_max >= 0 and card_max >= 1")
-    # the tasks scan {0} with at most card_max - 1 elements of [1, d_max], so
-    # C(d_max, i) sets for each i < card_max; the running total stops past the budget
-    sizes = (math.comb(d_max, i) for i in range(min(card_max, d_max + 1)))
-    if any(total > _SET_BUDGET for total in accumulate(sizes)):
-        raise ResourceLimitError(f"min_cardinality_scan: more than {_SET_BUDGET} sets")
-    # largest first, so that no big task is left for one worker at the end
-    tasks = sorted(_card_tasks(d_max, card_max), key=_card_task_size, reverse=True)
-    from .kernels import _card_chunk
-    return _scan(_card_chunk, tasks, workers,
-                 f"subsets of [0,d] containing 0 and d, 0 <= d <= {d_max}, "
-                 f"cardinality <= {card_max}")
+    return _subset_scan("min_cardinality_scan", d_max, card_max, workers,
+                        f"subsets of [0,d] containing 0 and d, 0 <= d <= {d_max}, "
+                        f"cardinality <= {card_max}",
+                        order=lambda key: (key[1], key[0], key[2]))
 
 
 # ---------------------------------------------------------------------------

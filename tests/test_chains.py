@@ -2,6 +2,7 @@ import json
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mstd_chains import (ChainBreakError, ChainRecord, ChainStep,
@@ -136,6 +137,10 @@ def test_fill2_precondition_diagnostics(fill2_seed):
     with pytest.raises(InvalidParameterError, match="MSTD"):
         # hull-complete but balanced: the full window minus its midpoint
         fill2_chain(IntegerSet.interval(1, 9), IntegerSet.interval(11, 20), n, 3)
+    # "10" used to fail inside a comparison with a bare TypeError
+    for bad_n in ("10", 10.0, True):
+        with pytest.raises(InvalidParameterError, match="fill2_chain: n must be an integer"):
+            fill2_chain(L, R, bad_n, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +211,10 @@ def test_thm31_rejects_failing_conditions():
     with pytest.raises(InvalidParameterError):
         thm31_chain(IntegerSet(THM31_GENERAL["L"]), IntegerSet(THM31_GENERAL["R"]),
                     THM31_GENERAL["n"], THM31_GENERAL["m"], 3, mode="strict")
+    L, R = IntegerSet(THM31_STRICT["L"]), IntegerSet(THM31_STRICT["R"])
+    for n, m, steps in [(8.0, 10, 3), (8, "10", 3), (8, 10, True), (8, 10, 3.0)]:
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            thm31_chain(L, R, n, m, steps)
 
 
 def test_thm31_interposer_needs_room():
@@ -450,6 +459,13 @@ def test_chain_requires_positive_steps(conway):
         fill1_chain(conway, 0)
     with pytest.raises(InvalidParameterError):
         nonfill_chain(-1)
+    # nonfill_chain(True) used to return a one-step chain
+    for steps in (True, 2.0, "2"):
+        with pytest.raises(InvalidParameterError, match="num_steps must be an integer"):
+            nonfill_chain(steps)
+        with pytest.raises(InvalidParameterError, match="num_steps must be an integer"):
+            fill1_chain(conway, steps)
+    assert chain_to_json(nonfill_chain(np.int64(3))) == chain_to_json(nonfill_chain(3))
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@ import random
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from mstd_chains import (Classification, ConditionReport, IntegerSet,
-                         InvalidParameterError, MultiDimAP, NathansonParams,
+                         InvalidParameterError, NathansonParams,
                          check_thm31_conditions,
                          classify, from_config, interval_minus_point,
                          mdts_interval_plus_point, miller_mstd, nathanson_mstd,
@@ -15,27 +16,6 @@ from mstd_chains import constructions
 
 from .conftest import (FILL2_L, FILL2_N, FILL2_R, THM31_GENERAL, THM31_STRICT,
                        naive_diffs, naive_sums, run_python)
-
-
-# ---------------------------------------------------------------------------
-# multi-dimensional arithmetic progressions
-# ---------------------------------------------------------------------------
-
-def test_ap_point():
-    assert MultiDimAP.point(16).expansion().to_list() == [16]
-    assert MultiDimAP.point(16).dimension == 0
-
-
-def test_ap_two_dimensional():
-    ap = MultiDimAP(base=1, steps=(1, 10), starts=(0, 0), lengths=(3, 2))
-    assert ap.expansion().to_list() == [1, 2, 3, 11, 12, 13]
-
-
-def test_ap_rejects_bad_shapes():
-    with pytest.raises(InvalidParameterError):
-        MultiDimAP(base=0, steps=(1,), starts=(0, 0), lengths=(2, 2))
-    with pytest.raises(InvalidParameterError):
-        MultiDimAP(base=0, steps=(1,), starts=(0,), lengths=(0,))
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +39,11 @@ def test_interval_minus_point_rejects(m, r):
     # m=4 leaves no legal r at all: 2 <= r <= 1 is empty
     with pytest.raises(InvalidParameterError):
         interval_minus_point(m, r)
+    # every parameter is an integer: never a float, a bool or a string
+    for bad in [(m + 0.0, 2), (m, True), (str(m), 2)]:
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            interval_minus_point(*bad)
+    assert interval_minus_point(np.int64(19), np.int32(16)) == interval_minus_point(19, 16)
 
 
 def test_interval_minus_point_hulls_small_sweep():
@@ -75,7 +60,7 @@ def test_interval_minus_point_hulls_small_sweep():
 
 def test_nathanson_reference_parameters():
     params = NathansonParams(m=19, B=interval_minus_point(19, 16),
-                             lstar=MultiDimAP.point(16), k=2)
+                             lstar=IntegerSet([16]), k=2)
     a = nathanson_mstd(params)
     assert IntegerSet([22, 41]).issubset(a)      # the ladder
     assert a.max == 63                            # the mirror apex
@@ -86,7 +71,7 @@ def test_nathanson_reference_parameters():
 
 def test_nathanson_small_parameters():
     params = NathansonParams(m=5, B=IntegerSet([0, 1, 3, 4]),
-                             lstar=MultiDimAP.point(2), k=2)
+                             lstar=IntegerSet([2]), k=2)
     a = nathanson_mstd(params)
     assert a.to_list() == [0, 1, 3, 4, 5, 8, 13, 17, 18, 20, 21]
     assert len(naive_sums(a)) > len(naive_diffs(a))
@@ -94,18 +79,24 @@ def test_nathanson_small_parameters():
 
 def test_nathanson_rejects_small_k():
     params = NathansonParams(m=19, B=interval_minus_point(19, 16),
-                             lstar=MultiDimAP.point(16), k=1)
+                             lstar=IntegerSet([16]), k=1)
     with pytest.raises(InvalidParameterError, match="k"):
         nathanson_mstd(params)
+    for m, k in [(19.0, 2), (19, 2.0), (19, True), ("19", 2)]:
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            nathanson_mstd(NathansonParams(m=m, B=interval_minus_point(19, 16),
+                                           lstar=IntegerSet([16]), k=k))
+    assert nathanson_mstd(NathansonParams(m=np.int64(19), B=interval_minus_point(19, 16),
+                                          lstar=IntegerSet([16]), k=np.int8(2))).max == 63
 
 
 def test_nathanson_names_failed_clause():
     with pytest.raises(InvalidParameterError, match="B\\+B"):
         nathanson_mstd(NathansonParams(m=6, B=IntegerSet([0, 5]),
-                                       lstar=MultiDimAP.point(2), k=2))
+                                       lstar=IntegerSet([2]), k=2))
     with pytest.raises(InvalidParameterError, match="lstar"):
         nathanson_mstd(NathansonParams(m=5, B=IntegerSet([0, 1, 3, 4]),
-                                       lstar=MultiDimAP.point(3), k=2))
+                                       lstar=IntegerSet([3]), k=2))
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +128,10 @@ def test_mdts_rejects_close_point():
         mdts_interval_plus_point(14, 15)
     with pytest.raises(InvalidParameterError):
         mdts_interval_plus_point(0, 5)
+    # True was read as m = 1, with the surplus True
+    for m, p in [(True, 10), (14.0, 17), (14, "17")]:
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            mdts_interval_plus_point(m, p)
 
 
 def test_mdts_surplus_small_sweep():
@@ -170,6 +165,9 @@ def test_miller_rejects_short_k():
     L, R = IntegerSet(FILL2_L), IntegerSet(FILL2_R)
     with pytest.raises(InvalidParameterError, match="k"):
         miller_mstd(L, R, n=FILL2_N, k=9, m=1)
+    for n, k, m in [(10.0, 10, 1), (10, True, 1), (10, 10, "1"), (10, 10, True)]:
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            miller_mstd(L, R, n=n, k=k, m=m)
 
 
 def test_miller_middle_constraints():
@@ -276,6 +274,10 @@ def test_nonfill_rejects_zero():
         nonfill_explicit_mstd(0)
     with pytest.raises(InvalidParameterError):
         nonfill_explicit_mdts(0)
+    for build in (nonfill_explicit_mstd, nonfill_explicit_mdts):
+        for l in (1.0, True, "1"):
+            with pytest.raises(InvalidParameterError, match="must be an integer"):
+                build(l)
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +382,9 @@ def test_conditions_bound_their_witnesses():
 def test_conditions_reject_out_of_window():
     with pytest.raises(InvalidParameterError):
         check_thm31_conditions(IntegerSet([0, 9]), IntegerSet([0, 8]), 8)
+    for n in (8.0, True, "8"):
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            check_thm31_conditions(IntegerSet([0, 8]), IntegerSet([0, 8]), n)
 
 
 def test_thm31_base_strict_equals_nonfill_start():
@@ -399,6 +404,9 @@ def test_thm31_base_rejects_small_m():
     with pytest.raises(InvalidParameterError, match="m"):
         thm31_base(IntegerSet(THM31_STRICT["L"]), IntegerSet(THM31_STRICT["R"]),
                    THM31_STRICT["n"], 7)
+    for n, m in [(8.0, 10), (8, 10.0), (8, True), ("8", 10)]:
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            thm31_base(IntegerSet(THM31_STRICT["L"]), IntegerSet(THM31_STRICT["R"]), n, m)
 
 
 def test_thm31_base_rejects_failing_conditions():
@@ -417,7 +425,7 @@ def test_from_config_dispatch():
     b = from_config({"construction": "interval_minus_point", "m": 19, "r": 16})
     assert b == interval_minus_point(19, 16)
     c = from_config({"construction": "nathanson_mstd", "m": 19,
-                     "B": b.to_list(), "lstar": {"base": 16}, "k": 2})
+                     "B": b.to_list(), "lstar": [16], "k": 2})
     assert c.max == 63
     d = from_config({"construction": "thm31_base",
                      "L": list(THM31_STRICT["L"]), "R": list(THM31_STRICT["R"]),

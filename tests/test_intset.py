@@ -173,6 +173,10 @@ def test_is_pn(conway, fill2_seed):
     assert not is_pn(conway, 0)
     with pytest.raises(InvalidParameterError):
         is_pn(conway, -1)
+    for bad in (0.0, True, "0"):
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            is_pn(conway, bad)
+    assert is_pn(L.union(R), np.int64(n))
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ from mstd_chains import (Classification, IntegerSet, InvalidParameterError,
                          fill2_chain, find_fill2_seeds, min_cardinality_scan,
                          oracle_profile, profile, sample_mstd_proportion,
                          kernels, search, wilson_interval)
-from mstd_chains.kernels import (_BATCH, _card_chunk, _enum_chunk, _grow, _mask_counts,
-                                 _sample_chunk, _sample_rows, _slice_counts)
+from mstd_chains.kernels import (_BATCH, _grow, _mask_counts, _sample_chunk, _sample_rows,
+                                 _slice_counts, _subset_chunk)
 from mstd_chains.cli import cli_main
 from mstd_chains.search import _worker_count
 
@@ -37,6 +37,11 @@ def test_oracle_rejects_empty_and_oversized():
         oracle_profile([])
     with pytest.raises(ResourceLimitError):
         oracle_profile(range(10_001))
+    # elements are integers: a float is never truncated, a bool never read as 0/1
+    for elements in ([1.5, 2], [True, 3], [0, False], ["1", 2], [1, None]):
+        with pytest.raises(InvalidParameterError, match="is not an integer"):
+            oracle_profile(elements)
+    assert oracle_profile(np.array([0, 2, 3])) == oracle_profile([0, 2, 3])
 
 
 def test_oracle_agrees_with_fast_path():
@@ -111,6 +116,36 @@ def test_exhaustive_caps():
         exhaustive_by_diameter(-1)
 
 
+def test_exhaustive_budget_admits_exactly_two_to_the_d_max(monkeypatch):
+    # the exhaustive scan classifies 2**d_max sets, under the shared set budget
+    monkeypatch.setattr(search, "_scan", lambda worker, tasks, *args: tasks)
+    for budget in (1, 5, 37, 1000, 1 << 20):
+        monkeypatch.setattr(search, "_SET_BUDGET", budget)
+        for d_max in range(30):
+            if 2**d_max > budget:
+                with pytest.raises(ResourceLimitError, match="more than"):
+                    exhaustive_by_diameter(d_max)
+            else:
+                assert sum(task[4] for task in exhaustive_by_diameter(d_max)) == 2**d_max
+    # its tasks are 2**17-set ranges of each diameter's interior counter, largest
+    # diameter first, and no task leaves a size out
+    monkeypatch.setattr(search, "_SET_BUDGET", 1 << 21)
+    expected = [_chunk_task(d, lo, lo + size)
+                for d in range(21, -1, -1)
+                for size in [min(1 << max(d - 1, 0), search._TASK_SETS)]
+                for lo in range(0, 1 << max(d - 1, 0), size)]
+    assert exhaustive_by_diameter(21) == expected
+
+
+def test_exhaustive_scan_is_the_unbounded_cardinality_scan():
+    for d_max in range(17):
+        full = exhaustive_by_diameter(d_max)
+        card = min_cardinality_scan(d_max, d_max + 1)
+        assert (full.total_examined, full.mstd_count, full.mdts_count, full.balanced_count) == \
+            (card.total_examined, card.mstd_count, card.mdts_count, card.balanced_count)
+        assert set(full.witnesses) == set(card.witnesses)
+
+
 # ---------------------------------------------------------------------------
 # bounded-cardinality scan
 # ---------------------------------------------------------------------------
@@ -138,13 +173,25 @@ def test_card_scan_budget():
         min_cardinality_scan(30, 30)
 
 
-def test_card_scan_past_the_word_width_is_linear_in_diameter():
+def test_card_scan_past_the_word_width_is_linear_in_diameter(monkeypatch):
     # with card_max = 2 every diameter holds one set, {0, d}; the scan used
     # to copy range(1, d) for its single empty combination, quadratic in d
     start = time.perf_counter()
     report = min_cardinality_scan(2 * 10**4, 2)
     assert time.perf_counter() - start < 2.5
     assert (report.total_examined, report.balanced_count) == (2 * 10**4 + 1, 2 * 10**4 + 1)
+    # nor does its task list hold a d-bit integer per diameter (25 MB here)
+    import tracemalloc
+
+    monkeypatch.setattr(search, "_scan", lambda worker, tasks, *args: tasks)
+    tracemalloc.start()
+    try:
+        tasks = min_cardinality_scan(2 * 10**4, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tasks) == 2 * 10**4 + 1
+    assert peak < 8 << 20, peak
 
 
 @pytest.mark.parametrize("d_max, card_max", [(10**6, 3), (2 * 10**8, 2), (10**7, 10**9)])
@@ -156,19 +203,21 @@ def test_card_scan_far_over_budget_is_refused_at_once(d_max, card_max):
 
 
 def test_card_scan_budget_equals_the_summed_task_sizes(monkeypatch):
-    # the closed-form count refuses exactly what the per-diameter tasks add up to
+    # the closed-form count refuses exactly what the per-diameter sets add up to:
+    # {0}, then {0, d} with at most card_max - 2 interior elements for each d
     monkeypatch.setattr(search, "_scan", lambda worker, tasks, *args: tasks)
     for budget in (1, 5, 37, 1000):
         monkeypatch.setattr(search, "_SET_BUDGET", budget)
         for d_max in range(40):
             for card_max in range(1, 9):
-                sets = sum(map(search._card_task_size, search._card_tasks(d_max, card_max)))
+                sets = 1 + sum(search._subsets_up_to(d - 1, card_max - 2)
+                               for d in range(1, d_max + 1))
                 if sets > budget:
                     with pytest.raises(ResourceLimitError):
                         min_cardinality_scan(d_max, card_max)
                 else:
-                    assert sum(map(search._card_task_size,
-                                   min_cardinality_scan(d_max, card_max))) == sets
+                    tasks = min_cardinality_scan(d_max, card_max)
+                    assert sum(task[4] for task in tasks) == sets
     monkeypatch.undo()
     # a card_max far above d_max counts every subset
     assert min_cardinality_scan(6, 10**9).total_examined == 2**6
@@ -178,6 +227,17 @@ def test_card_scan_worker_invariance():
     serial = min_cardinality_scan(12, 6)
     parallel = min_cardinality_scan(12, 6, workers=2)
     assert serial.to_json() == parallel.to_json()
+
+
+def test_split_scan_tasks_give_the_same_reports(monkeypatch):
+    # 32-set tasks split every diameter, past the word width too, where the
+    # split fixes top positions in the base of a per-set task
+    requests = [(20, 5), (33, 3)]
+    expected = [min_cardinality_scan(*request).to_json() for request in requests]
+    monkeypatch.setattr(search, "_TASK_SETS", 1 << 5)
+    for workers in (1, 2):
+        assert [min_cardinality_scan(*request, workers=workers).to_json()
+                for request in requests] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +305,8 @@ def test_wilson_interval():
     with pytest.raises(InvalidParameterError):
         wilson_interval(1, 0)
     lo, hi = wilson_interval(100, 100)  # successes == trials is the edge still allowed
-    assert 0.95 < lo < hi <= 1.0
+    assert 0.95 < lo < hi == 1.0
+    assert all(wilson_interval(k, k)[1] == 1.0 for k in (1, 7, 10**6))
     for successes, trials in [(5, 3), (-1, 10), (1, -1), (0.5, 10), (1, 10.0), (True, 10),
                               (1, "10")]:
         with pytest.raises(InvalidParameterError):
@@ -379,6 +440,19 @@ def test_sample_chunk_memory_and_time_are_bounded():
     assert elapsed < 2.0
 
 
+def _chunk_task(d, lo, hi):
+    """The scan task of interior masks [lo, hi) at diameter d, hi - lo a power
+    of two and lo a multiple of it: the high bits of lo with every subset of
+    the low log2(hi - lo)."""
+    positions = range(1, (hi - lo).bit_length())
+    return d, (lo << 1) | 1, positions, len(positions), hi - lo
+
+
+def _card_task(d, j_max):
+    """The scan task of {0, d} with at most j_max interior elements."""
+    return d, 1, range(1, d), j_max, search._subsets_up_to(d - 1, j_max)
+
+
 @pytest.mark.parametrize("task", [(16, 0, 1 << 14), (16, 1 << 14, 1 << 15)])
 def test_enum_chunk_matches_per_mask_recount(task):
     d, lo, hi = task
@@ -391,7 +465,7 @@ def test_enum_chunk_matches_per_mask_recount(task):
             witnesses.append((d, len(elements), elements))
     expected = (hi - lo, signs.count(1), signs.count(-1), signs.count(0),
                 sorted(witnesses)[:8])
-    assert _enum_chunk(task) == expected
+    assert _subset_chunk(_chunk_task(*task)) == expected
 
 
 @pytest.mark.parametrize("task", [(20, 5), (18, 8)])
@@ -404,20 +478,27 @@ def test_card_chunk_spans_batches_and_matches_recount(task):
         for combo in combinations(range(1, d), j):
             signs.append(_referee_sign(1 | (1 << d) | sum(1 << c for c in combo)))
             if signs[-1] > 0:
-                witnesses.append((j + 2, d, (0, *combo, d)))
+                witnesses.append((d, j + 2, (0, *combo, d)))
     assert len(signs) > _BATCH
     expected = (len(signs), signs.count(1), signs.count(-1), signs.count(0),
                 sorted(witnesses)[:8])
-    assert _card_chunk(task) == expected
+    assert _subset_chunk(_card_task(*task)) == expected
 
 
 def test_per_set_branches_match_word_kernels(monkeypatch):
     # Conway-type 8-element sets are MSTD witnesses at d = 14
-    card = _card_chunk((14, 6))
+    card = _subset_chunk(_card_task(14, 6))
     assert card[1] > 0
-    # a narrower word sends the cardinality worker down its per-set big-integer branch
+    # split tasks, whose bases hold fixed top positions
+    split = [(14, *task) for task in search._split(1, range(1, 14), 6, 1 << 10)]
+    assert len(split) > 2
+    parts = [_subset_chunk(task) for task in split]
+    assert [sum(part[i] for part in parts) for i in range(4)] == list(card[:4])
+    assert sorted(w for part in parts for w in part[4])[:8] == card[4]
+    # a narrower word sends the worker down its per-set big-integer branch
     monkeypatch.setattr(kernels, "_WORD_WIDTH", 8)
-    assert _card_chunk((14, 6)) == card
+    assert _subset_chunk(_card_task(14, 6)) == card
+    assert [_subset_chunk(task) for task in split] == parts
 
 
 # ---------------------------------------------------------------------------
@@ -494,18 +575,16 @@ def test_grow_split_matches_unsplit(monkeypatch):
     whole = _grown(base, free)
     limited = sorted(_grown(base, free, 6))
     assert limited == sorted(_counter_order(base, free, 6))
-    chunks = {task: _enum_chunk(task) for task in [(17, 0, 1 << 14), (17, 1 << 14, 1 << 15)]}
-    cards = {task: _card_chunk(task) for task in [(20, 5), (31, 3), (18, 8)]}
+    tasks = [_chunk_task(17, 0, 1 << 14), _chunk_task(17, 1 << 14, 1 << 15),
+             _card_task(20, 5), _card_task(31, 3), _card_task(18, 8)]
+    chunks = [_subset_chunk(task) for task in tasks]
     seeds = find_fill2_seeds(9)
     monkeypatch.setattr(kernels, "_BATCH", 1 << 5)
     assert _grown(base, free) == whole
     # bounded batches are ordered by size within each batch, so compare as
     # sorted lists, which still differ on a missing, extra or repeated set
     assert sorted(_grown(base, free, 6)) == limited
-    for task, expected in chunks.items():
-        assert _enum_chunk(task) == expected
-    for task, expected in cards.items():
-        assert _card_chunk(task) == expected
+    assert [_subset_chunk(task) for task in tasks] == chunks
     assert find_fill2_seeds(9) == seeds
 
 
