@@ -8,31 +8,32 @@ whose difference-dominated steps are found by search).
 
 Each method has a lazy iterator yielding its steps on demand, as bare
 :class:`IntegerSet` objects, plus a convenience wrapper that materializes
-a :class:`ChainRecord` with profiles. The iterators build their steps
-with the constructions' unchecked private builders, since the wrappers
-profile every step anyway. :func:`verify_chain` re-derives everything
-from scratch and reports each check with witnesses. The two chain rules,
-proper nesting and strict MSTD/MDTS alternation, are written once: the
-wrappers raise on the first witness of a broken rule, and verification
-lists them all. Whether gaps must stay gaps is carried by the record
-itself (``ChainRecord.no_fill_in_required``).
+a :class:`ChainRecord` with profiles. Past thm31's base, which checks the
+caller's fringes, the iterators build their steps with the constructions'
+unchecked private builders, so each step is checked once: the wrappers
+profile it and apply the chain rules. :func:`verify_chain` re-derives
+everything from scratch and reports each check with witnesses. The two
+chain rules, proper nesting and strict MSTD/MDTS alternation, are written
+once: the wrappers raise on the first witness of a broken rule, and
+verification lists them all. Whether gaps must stay gaps is carried by
+the record itself (``ChainRecord.no_fill_in_required``).
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import filterfalse
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .constructions import (NathansonParams, _check_fringe_seed, _hole_interval,
-                            _nonfill_add_point, _nonfill_mstd,
-                            mdts_interval_plus_point, nathanson_mstd, thm31_base)
+from .constructions import (_check_fringe_seed, _hole_interval, _interval_plus_point,
+                            _nathanson_set, _nonfill_add_point, _nonfill_mstd,
+                            thm31_base)
 from .errors import ChainBreakError, InvalidParameterError
-from .intset import (Classification, IntegerSet, SetProfile, _integers, affine,
-                     classify, profile)
+from .intset import (Classification, IntegerSet, SetProfile, _integers, _sets,
+                     affine, classify, profile)
 from .rounding import round3_float
 
 METHOD_TAGS = ("fill1", "fill2", "nonfill", "thm31")
@@ -125,16 +126,9 @@ def chain_from_json(text: str, no_fill_in_required: bool = False) -> ChainRecord
     for i, row in enumerate(rows):
         try:
             elements = IntegerSet(row["elements"])
-            card = _json_int(row, "card")
-            diam = _json_int(row, "diam")
-            stored = SetProfile(
-                cardinality=card,
-                diameter=diam,
-                sum_count=_json_int(row, "sums"),
-                diff_count=_json_int(row, "diffs"),
-                classification=Classification(row["classification"]),
-                density=Fraction(card, diam) if diam > 0 else None,
-            )
+            counts = SetProfile.from_counts(_json_int(row, "card"), _json_int(row, "diam"),
+                                            _json_int(row, "sums"), _json_int(row, "diffs"))
+            stored = replace(counts, classification=Classification(row["classification"]))
             index = _json_int(row, "index") if "index" in row else i + 1
             steps.append(ChainStep(index=index, set=elements, profile=stored))
         except (KeyError, TypeError, ValueError) as exc:
@@ -188,6 +182,7 @@ def iter_fill1_chain(seed: IntegerSet) -> Iterator[IntegerSet]:
     The seed is translated so its minimum is 0 (translations change
     neither sum nor difference counts).
     """
+    _sets("fill1_chain", seed=seed)
     if classify(seed) != Classification.MSTD:
         raise InvalidParameterError("fill1_chain: seed must be MSTD")
     current = affine(seed, 1, -seed.min)
@@ -197,11 +192,10 @@ def iter_fill1_chain(seed: IntegerSet) -> Iterator[IntegerSet]:
         # the MSTD step is an interval of length n = p + 2 for odd p and
         # p + 5 for even p, so the shortest comes from the least odd p > m + 1
         p = m + 3 - m % 2
-        yield mdts_interval_plus_point(m, p)[0]
+        yield _interval_plus_point(m, p)
         n = p + 2
         r = n - 3  # p - 1 > m, so the hole misses [0, m] | {p}
-        current = nathanson_mstd(NathansonParams(m=n, B=_hole_interval(n, r),
-                                                 lstar=IntegerSet([r]), k=2))
+        current = _nathanson_set(n, _hole_interval(n, r), IntegerSet([r]), 2)
         yield current
 
 
@@ -220,6 +214,7 @@ def iter_fill2_chain(L: IntegerSet, R: IntegerSet, n: int) -> Iterator[IntegerSe
     ``miller_mstd`` and must not contain n, the hole of every filled step.
     """
     (n,) = _integers("fill2_chain", n=n)
+    _sets("fill2_chain", L=L, R=R)
     if n in L or n in R:
         raise InvalidParameterError("fill2_chain: n must not be an element of L | R")
     seed = _check_fringe_seed(L, R, n, "fill2_chain")
@@ -280,6 +275,7 @@ def iter_thm31_chain(L: IntegerSet, R: IntegerSet, n: int, m: int,
     between consecutive odd steps and raises ChainBreakError when no
     difference-dominated one exists (existence is not guaranteed).
     """
+    _sets("thm31_chain", L=L, R=R)
     current = thm31_base(L, R, n, m, mode)
     yield current
     k = 1

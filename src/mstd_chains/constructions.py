@@ -20,8 +20,8 @@ from itertools import islice
 from typing import Optional
 
 from .errors import InvalidParameterError
-from .intset import (Classification, IntegerSet, _integers, affine, classify,
-                     diffset, is_pn, sumset)
+from .intset import (Classification, IntegerSet, _integers, _sets, affine,
+                     classify, diffset, is_pn, sumset)
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,7 @@ class NathansonParams:
 
     def validate(self) -> None:
         m, k = _integers("nathanson_mstd", m=self.m, k=self.k)
+        _sets("nathanson_mstd", B=self.B, lstar=self.lstar)
         if m < 4:
             raise InvalidParameterError("nathanson_mstd: m must be >= 4")
         if k < 2:
@@ -94,6 +95,13 @@ def interval_minus_point(m: int, r: int) -> IntegerSet:
     return out
 
 
+def _nathanson_set(m: int, B: IntegerSet, lstar: IntegerSet, k: int) -> IntegerSet:
+    """B, the ladder (m - lstar) + m*[1, k], its mirror and the point m, unchecked."""
+    ladder = IntegerSet(m - s + m * j for s in lstar for j in range(1, k + 1))
+    c = (k + 3) * m - lstar.min - lstar.max
+    return B.union(ladder, affine(B, -1, c), IntegerSet([m]))
+
+
 def nathanson_mstd(params: NathansonParams) -> IntegerSet:
     """MSTD set built from an interval-like base, a ladder, and a mirror.
 
@@ -102,12 +110,14 @@ def nathanson_mstd(params: NathansonParams) -> IntegerSet:
     The output is B, ladder, mirror, and the point m, together.
     """
     params.validate()
-    m, B, k, lstar = int(params.m), params.B, int(params.k), params.lstar
-    ladder = IntegerSet(m - s + m * j for s in lstar for j in range(1, k + 1))
-    c = (k + 3) * m - lstar.min - lstar.max
-    out = B.union(ladder, affine(B, -1, c), IntegerSet([m]))
+    out = _nathanson_set(int(params.m), params.B, params.lstar, int(params.k))
     _require_classification(out, Classification.MSTD, "nathanson_mstd")
     return out
+
+
+def _interval_plus_point(m: int, p: int) -> IntegerSet:
+    """[0, m] plus the point p, unchecked."""
+    return IntegerSet.interval(0, m).union(IntegerSet([p]))
 
 
 def mdts_interval_plus_point(m: int, p: int) -> tuple[IntegerSet, int]:
@@ -121,7 +131,7 @@ def mdts_interval_plus_point(m: int, p: int) -> tuple[IntegerSet, int]:
         raise InvalidParameterError("mdts_interval_plus_point: m must be >= 1")
     if p <= m + 1:
         raise InvalidParameterError("mdts_interval_plus_point: p must exceed m + 1")
-    out = IntegerSet.interval(0, m).union(IntegerSet([p]))
+    out = _interval_plus_point(m, p)
     surplus = m if p > 2 * m else p - m - 1
     got = len(diffset(out)) - len(sumset(out))
     if got != surplus:
@@ -178,6 +188,7 @@ def miller_mstd(L: IntegerSet, R: IntegerSet, n: int, k: int, m: int,
     """
     n, k, m = _integers("miller_mstd", n=n, k=k, m=m)
     middle = IntegerSet() if middle is None else middle
+    _sets("miller_mstd", L=L, R=R, middle=middle)
     _check_fringe_seed(L, R, n, "miller_mstd")
     if k < n:
         raise InvalidParameterError("miller_mstd: k must be >= n")
@@ -304,6 +315,7 @@ def check_thm31_conditions(L: IntegerSet, R: IntegerSet, n: int,
         raise InvalidParameterError("check_thm31_conditions: mode must be "
                                     "'strict' or 'generalized'")
     (n,) = _integers("check_thm31_conditions", n=n)
+    _sets("check_thm31_conditions", L=L, R=R)
     if n < 1:
         raise InvalidParameterError("check_thm31_conditions: n must be >= 1")
     for name, S in (("L", L), ("R", R)):
@@ -345,6 +357,7 @@ def thm31_base(L: IntegerSet, R: IntegerSet, n: int, m: int,
     element; the output then classifies MSTD.
     """
     n, m = _integers("thm31_base", n=n, m=m)
+    _sets("thm31_base", L=L, R=R)
     report = check_thm31_conditions(L, R, n, mode)
     if not report:
         raise InvalidParameterError(

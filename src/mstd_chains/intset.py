@@ -54,6 +54,10 @@ _PAIR_BYTES = 128
 # One token of a set literal: an ASCII decimal integer.
 _TOKEN = re.compile(r"-?[0-9]+")
 
+# runs of nonzero bytes (a leading single byte speeds the scan); each byte's set bits
+_NONZERO_BYTES = re.compile(rb"[^\x00][^\x00]*")
+_BYTE_BITS = tuple(tuple(j for j in range(8) if byte >> j & 1) for byte in range(256))
+
 
 class Classification(str, Enum):
     """Whether a set has more sums, more differences, or equal counts."""
@@ -102,14 +106,12 @@ def _element_runs(els: Sequence[int]) -> list[tuple[int, int]]:
 
 def _bit_runs(bits: int) -> list[tuple[int, int]]:
     """Maximal runs of set bits as (first, last) bit positions, ascending."""
-    # a bit of flips is set where a run starts or just past where one ends
-    flips = bin(bits ^ (bits << 1))
-    top = len(flips) - 1
-    edges = []
-    i = flips.rfind("1")
-    while i >= 0:
-        edges.append(top - i)
-        i = flips.rfind("1", 0, i)
+    # a bit of flips is set where a run starts or just past where one ends;
+    # its bytes take one byte per eight bits, and the regex skips zero bytes
+    flips = bits ^ (bits << 1)
+    data = flips.to_bytes((flips.bit_length() + 7) >> 3, "little")
+    edges = [8 * i + j for match in _NONZERO_BYTES.finditer(data)
+             for i, byte in enumerate(match.group(), match.start()) for j in _BYTE_BITS[byte]]
     return [(start, stop - 1) for start, stop in zip(edges[::2], edges[1::2])]
 
 
@@ -134,6 +136,14 @@ def _integers(caller: str, **values) -> list[int]:
         if isinstance(value, bool) or not isinstance(value, Integral):
             raise InvalidParameterError(f"{caller}: {name} must be an integer, not {value!r}")
     return [int(value) for value in values.values()]
+
+
+def _sets(caller: str, **values) -> None:
+    """Refuse any of the ``values`` that is not an ``IntegerSet``, naming it."""
+    for name, value in values.items():
+        if not isinstance(value, IntegerSet):
+            raise InvalidParameterError(
+                f"{caller}: {name} must be an IntegerSet, not {type(value).__name__}")
 
 
 class IntegerSet:
@@ -475,18 +485,9 @@ class SetProfile:
 
 
 def _require_nonempty(a: IntegerSet, op: str) -> None:
+    _sets(op, a=a)
     if a.is_empty:
         raise InvalidParameterError(f"{op}: set must be nonempty")
-
-
-def _check_sum_range(a: IntegerSet) -> None:
-    if 2 * a.min < INT64_MIN or 2 * a.max > INT64_MAX:
-        raise ArithmeticRangeError("sumset would leave signed 64-bit range")
-
-
-def _check_diff_range(a: IntegerSet) -> None:
-    if a.max - a.min > INT64_MAX:
-        raise ArithmeticRangeError("difference set would leave signed 64-bit range")
 
 
 def _check_pair_budget(a: IntegerSet, op: str) -> None:
@@ -512,9 +513,11 @@ def _pair_values(els: Sequence[int], subtract: bool) -> tuple[int, ...]:
 
 def sumset(a: IntegerSet) -> IntegerSet:
     """The set of pairwise sums {x + y : x, y in a}. Empty input -> empty."""
+    _sets("sumset", a=a)
     if a.is_empty:
         return IntegerSet()
-    _check_sum_range(a)
+    if 2 * a.min < INT64_MIN or 2 * a.max > INT64_MAX:
+        raise ArithmeticRangeError("sumset would leave signed 64-bit range")
     if a.diameter <= DENSE_DIAMETER_LIMIT:
         bits, offset = a._bitvector()
         acc = 0
@@ -527,9 +530,11 @@ def sumset(a: IntegerSet) -> IntegerSet:
 
 def diffset(a: IntegerSet) -> IntegerSet:
     """The set of pairwise differences {x - y}; symmetric about 0."""
+    _sets("diffset", a=a)
     if a.is_empty:
         return IntegerSet()
-    _check_diff_range(a)
+    if a.max - a.min > INT64_MAX:
+        raise ArithmeticRangeError("difference set would leave signed 64-bit range")
     if a.diameter <= DENSE_DIAMETER_LIMIT:
         bits, offset = a._bitvector()
         top = a.max
@@ -550,6 +555,7 @@ def affine(a: IntegerSet, x: int, y: int) -> IntegerSet:
     Dilation and translation preserve both the sumset and difference-set
     cardinalities, so profiles carry over unchanged.
     """
+    _sets("affine", a=a)
     x, y = index(x), index(y)
     if x == 0:
         raise InvalidParameterError("affine: dilation factor x must be nonzero")
@@ -581,6 +587,7 @@ def symmetry_center(a: IntegerSet) -> Optional[int]:
     Only c = min + max can work, so that single candidate is checked.
     Symmetric sets are always balanced.
     """
+    _sets("symmetry_center", a=a)
     if a.is_empty:
         return None
     c = a.min + a.max

@@ -1,9 +1,7 @@
 """The numpy kernels: word-level classification of batches of sets.
 
-This is the only module of the package that imports numpy, and only the
-search drivers in ``search`` import it, before they start work (so numpy
-is loaded before a worker pool forks); every other command runs without
-numpy.
+The package's only numpy module; only the search drivers import it, before
+they start a worker pool, so every other command runs without numpy.
 
 A set inside [0, 32) is one ``uint64`` word, and so are its sum and
 difference words. The subset and seed scans build each set from one with
@@ -19,8 +17,8 @@ the number of positions a limit leaves out.
 sets of one diameter d that add at most a given number of free positions
 to a base. Below the word width it runs ``_grow``; past it, where only
 cardinality scans reach, their sets have few elements in a wide window
-and it counts one set at a time with the big-integer loop
-``_mask_counts``.
+and it counts one set at a time. ``_set_words`` gives a single set's
+words, for the base of each ``_grow`` batch and each set of the wide branch.
 
 Random samples share no prefix, so sampling classifies each chunk from
 scratch, bit-sliced: for each position a, bit k of a ``uint64`` word
@@ -34,10 +32,9 @@ which ``search._scan`` folds into a report.
 from __future__ import annotations
 
 import math
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations
-from operator import or_
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -51,33 +48,28 @@ _WORD_WIDTH = 32
 _BLOCK_BYTES = 1 << 20
 
 
-def _mask_counts(bits: int, span: int) -> tuple[int, int]:
-    """(|A+A|, |A-A|) for the set encoded by ``bits`` (bit i = element i).
-
-    ``span`` is the highest set bit. Works by OR-ing shifted Python
-    integers, one per element. Cardinality scans use it past diameter 31;
-    tests use it as the referee for ``_grow`` and ``_sample_chunk``.
-    """
-    s = 0
-    d = 0
+def _set_words(bits: int) -> tuple[int, int]:
+    """The (sums, pdiffs) words, as in a ``_grow`` batch, of the set encoded
+    by ``bits`` (bit i = element i): one shift of ``bits`` per element."""
+    sums = pdiffs = 0
     rest = bits
     while rest:
         low = rest & -rest
         a = low.bit_length() - 1
-        s |= bits << a
-        d |= bits << (span - a)
+        sums |= bits << a
+        pdiffs |= bits >> a
         rest ^= low
-    return s.bit_count(), d.bit_count()
+    return sums, pdiffs
 
 
-def _grow(base: int, positions: Sequence[int], max_size: Optional[int] = None
+def _grow(base: int, positions: Sequence[int], max_size: int
           ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Words of every set ``base | T``, T a subset of ``positions``, in batches.
 
-    Yields (bits, sums, pdiffs) batches of at most ``_BATCH`` sets, and only
-    sets with |T| <= ``max_size`` when it is given. Without ``max_size``,
-    set i across the batches is the binary counter i over ``positions``
-    (bit k of i stands for ``positions[k]``), in increasing i. With it, a
+    Yields (bits, sums, pdiffs) batches of at most ``_BATCH`` sets, only
+    sets with |T| <= ``max_size``. When that leaves no position out, set i
+    across the batches is the binary counter i over ``positions`` (bit k
+    of i stands for ``positions[k]``), in increasing i. Otherwise a
     request splits into batches as the counter would, but within a batch
     that leaves some position out the sets come by |T| and then in colex
     order. Bit i of a sum word stands for the sum i and bit i of a
@@ -87,9 +79,8 @@ def _grow(base: int, positions: Sequence[int], max_size: Optional[int] = None
     buffer, overwritten by the next batch.
     """
     m = len(positions)
-    limit = m if max_size is None else min(max_size, m)
     # no batch holds more sets than the whole request or than _BATCH
-    words = np.empty((4, min(_subsets_up_to(m, limit), _BATCH)), dtype=np.uint64)
+    words = np.empty((4, min(_subsets_up_to(m, min(max_size, m)), _BATCH)), dtype=np.uint64)
     for base, positions, limit, count in _split(base, positions, max_size, _BATCH):
         if limit < len(positions):
             yield _layer_batch(base, positions, limit, count, words)
@@ -107,10 +98,8 @@ def _start(base: int, positions: Sequence[int], total: int, words: np.ndarray
     differences.
     """
     w = words[:, :total]
-    elements = _elements(base)
-    w[:, 0] = (base, sum(1 << (_WORD_WIDTH - 1 - a) for a in elements),
-               reduce(or_, (base << a for a in elements), 0),
-               reduce(or_, (base >> a for a in elements), 0))
+    w[:, 0] = (base, sum(1 << (_WORD_WIDTH - 1 - a) for a in _elements(base)),
+               *_set_words(base))
     return w, np.array([positions, [_WORD_WIDTH - 1 - x for x in positions]], dtype=np.uint64)
 
 
@@ -206,7 +195,7 @@ def _subset_chunk(task: tuple[int, int, Sequence[int], int, int]
     is the diameter of all its sets. A witness is (d, |A|, elements).
     Below the word width the sets come from ``_grow``, and only the MSTD
     sets of the smallest cardinalities of a batch are turned into element
-    tuples; past it, ``_mask_counts`` counts one set at a time.
+    tuples; past it, ``_set_words`` counts one set at a time.
     """
     d, base, positions, limit, _ = task
     base |= 1 << d
@@ -231,7 +220,8 @@ def _subset_chunk(task: tuple[int, int, Sequence[int], int, int]
         # O(d) per diameter in the common card_max = 2 scan
         for combo in combinations(positions, j) if j else [()]:
             bits = base | sum(1 << c for c in combo)
-            s, f = _mask_counts(bits, d)
+            sums, pdiffs = _set_words(bits)
+            s, f = sums.bit_count(), 2 * pdiffs.bit_count() - 1
             total += 1
             if s > f:
                 mstd += 1
@@ -337,7 +327,7 @@ def _fill2_seed_scan(n: int) -> list[tuple[int, ...]]:
     sum_mask = np.uint64(((1 << (2 * n - 1)) - 1) << n)  # values n+2 .. 3n
     diff_mask = np.uint64((1 << n) - 1)                  # values 0 .. n-1
     found: list[tuple[int, ...]] = []
-    for bits, sums, pdiffs in _grow(1 | (1 << (2 * n - 1)), free):
+    for bits, sums, pdiffs in _grow(1 | (1 << (2 * n - 1)), free, len(free)):
         hits = np.flatnonzero(_grow_tally(sums, pdiffs)[0])
         sums, pdiffs = sums[hits], pdiffs[hits]
         keep = hits[((sums & sum_mask) == sum_mask) & ((pdiffs & diff_mask) == diff_mask)]

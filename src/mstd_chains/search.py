@@ -51,6 +51,7 @@ _SAMPLE_CHUNK = 1 << 12
 _WITNESS_CAP = 8
 _ORACLE_CARD_CAP = 10_000
 _SET_BUDGET = 100_000_000  # most sets one search classifies
+_SAMPLE_WORK = 10**11  # most n**2 * samples, a few seconds of serial work
 
 
 def oracle_profile(a: IntegerSet | Iterable[int]) -> SetProfile:
@@ -84,16 +85,16 @@ def _subsets_up_to(m: int, limit: int) -> int:
     return sum(math.comb(m, i) for i in range(limit + 1))
 
 
-def _split(base: int, positions: Sequence[int], max_size: Optional[int], cap: int
+def _split(base: int, positions: Sequence[int], max_size: int, cap: int
            ) -> Iterator[tuple[int, Sequence[int], int, int]]:
     """(base, positions, limit, count) requests of count <= ``cap`` sets, in counter order.
 
     The request is every set base | T, T a subset of ``positions`` with
-    |T| <= ``max_size`` (no limit when it is None). A larger request splits
-    on its top position: the sets without it come first, then those with it.
+    |T| <= ``max_size``. A larger request splits on its top position: the
+    sets without it come first, then those with it.
     """
     m = len(positions)
-    limit = m if max_size is None else min(max_size, m)
+    limit = min(max_size, m)
     if limit < 0:
         return
     count = _subsets_up_to(m, limit)
@@ -101,8 +102,7 @@ def _split(base: int, positions: Sequence[int], max_size: Optional[int], cap: in
         yield base, positions, limit, count
         return
     yield from _split(base, positions[:-1], max_size, cap)
-    yield from _split(base | 1 << positions[-1], positions[:-1],
-                      None if max_size is None else max_size - 1, cap)
+    yield from _split(base | 1 << positions[-1], positions[:-1], max_size - 1, cap)
 
 
 @dataclass(frozen=True)
@@ -289,6 +289,7 @@ def sample_mstd_proportion(n: int, samples: int, seed: int,
     Each element is included independently with probability 1/2. Sampling
     is chunked with per-chunk derived seeds, so the report is bit-identical
     for any worker count. The 95% interval is a Wilson score interval.
+    At most 10**8 samples, and n**2 * samples at most 10**11, are taken.
     """
     n, samples, seed, workers = _integers("sample_mstd_proportion", n=n, samples=samples,
                                           seed=seed, workers=workers)
@@ -300,6 +301,8 @@ def sample_mstd_proportion(n: int, samples: int, seed: int,
         raise InvalidParameterError("sample_mstd_proportion: seed must be >= 0")
     if samples > _SET_BUDGET:
         raise ResourceLimitError(f"sample_mstd_proportion: more than {_SET_BUDGET} samples")
+    if n * n * samples > _SAMPLE_WORK:
+        raise ResourceLimitError(f"sample_mstd_proportion: n**2 * samples above {_SAMPLE_WORK}")
     tasks = [(seed, chunk_index, min(_SAMPLE_CHUNK, samples - start), n)
              for chunk_index, start in enumerate(range(0, samples, _SAMPLE_CHUNK))]
     from .kernels import _sample_chunk

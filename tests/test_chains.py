@@ -7,8 +7,9 @@ import pytest
 
 from mstd_chains import (ChainBreakError, ChainRecord, ChainStep,
                          Classification, IntegerSet, InvalidParameterError,
-                         chain_from_json, chain_to_json, fill1_chain,
-                         fill2_chain, mdts_interval_plus_point, miller_mstd,
+                         NathansonParams, chain_from_json, chain_to_json,
+                         fill1_chain, fill2_chain, interval_minus_point,
+                         mdts_interval_plus_point, miller_mstd, nathanson_mstd,
                          nonfill_chain, nonfill_explicit_mstd, oracle_profile,
                          profile, thm31_chain, verify_chain)
 from mstd_chains import chains as chains_module
@@ -83,6 +84,21 @@ def test_fill1_oracle_reclassification(conway):
         assert oracle_profile(step.set).classification == expected
     for prev, cur in zip(record.steps, record.steps[1:]):
         assert prev.set.ispropersubset(cur.set)
+
+
+def test_fill1_steps_equal_the_checked_constructions(conway):
+    # the chain builds its steps unchecked; the public constructions check
+    # every hypothesis and postcondition on the same parameters
+    steps = [step.set for step in fill1_chain(conway, 12).steps]
+    for i in range(1, len(steps)):
+        top = steps[i - 1].max
+        if i % 2:  # MDTS: [0, top] and the least odd point past top + 1
+            want = mdts_interval_plus_point(top, top + 3 - top % 2)[0]
+        else:  # MSTD: the interval [0, top + 1] with its hole at top - 1
+            n = top + 2
+            want = nathanson_mstd(NathansonParams(m=n, B=interval_minus_point(n, n - 3),
+                                                  lstar=IntegerSet([n - 3]), k=2))
+        assert steps[i] == want, i + 1
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +356,57 @@ def test_verify_detects_tampered_profiles():
     report = verify_chain(chain_from_json(json.dumps(rows), no_fill_in_required=True))
     bad = next(c for c in report.checks if c.name == "profiles")
     assert bad.witnesses[0] == "step 1: empty set"
+
+
+def _profiles_check(rows, no_fill_in_required=False):
+    report = verify_chain(chain_from_json(json.dumps(rows), no_fill_in_required))
+    assert [c.name for c in report.checks if not c.passed] in ([], ["profiles"])
+    return next(c for c in report.checks if c.name == "profiles")
+
+
+def test_verify_names_exactly_the_tampered_step(fill2_seed):
+    rows = json.loads(chain_to_json(fill2_chain(*fill2_seed, 48)))
+    assert _profiles_check(rows).passed
+    assert rows[39]["classification"] == "MDTS"
+    for field, value, stored in [("sums", 813, "sums=813, diffs=821, MDTS"),
+                                 ("classification", "MSTD", "sums=812, diffs=821, MSTD")]:
+        tampered = json.loads(json.dumps(rows))
+        tampered[39][field] = value
+        assert _profiles_check(tampered).witnesses == (
+            f"step 40: stored ({stored}) != recomputed (sums=812, diffs=821, MDTS)",)
+
+
+def test_verify_checks_large_steps_with_the_engine(conway, monkeypatch):
+    # fill1 steps 11 and 12 are above the oracle's limit of 2000 elements
+    rows = json.loads(chain_to_json(fill1_chain(conway, 12)))[10:]
+    assert min(row["card"] for row in rows) > chains_module._ORACLE_CARD_LIMIT
+    import mstd_chains.search as search_module
+    monkeypatch.setattr(search_module, "oracle_profile", None)
+    assert _profiles_check(rows).passed
+    rows[1]["diffs"] += 1
+    assert _profiles_check(rows).witnesses == (
+        "step 12: stored (sums=11650, diffs=11652, MDTS) != "
+        "recomputed (sums=11650, diffs=11651, MDTS)",)
+
+
+def test_verify_report_of_a_chain_that_does_not_nest(conway):
+    rows = json.loads(chain_to_json(fill1_chain(conway, 4)))
+    rows[1], rows[2] = rows[2], rows[1]
+    report = verify_chain(chain_from_json(json.dumps(rows), no_fill_in_required=True))
+    assert str(report) == "\n".join([
+        "profiles: PASS",
+        "nesting: FAIL",
+        "    step 2 does not properly contain step 3",
+        "alternation: FAIL",
+        "    step 3 classifies MSTD after MSTD",
+        "    step 4 classifies MDTS after MDTS",
+        "no_fill_in: FAIL",
+        "    gaps of step 1 filled later: 1,5,6,8,9,10,13",
+        "    gaps of step 3 filled later: 16,20,21,23,24,25,26,27,28,29,30,31,32,33,34,35,"
+        "36,37,38,39,40,42,43,44,47",
+        "    gaps of step 2 filled later: 15,16",
+        "overall: FAIL",
+    ])
 
 
 def test_verify_uses_oracle_for_small_steps(conway, monkeypatch):

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from mstd_chains import (Classification, ConditionReport, IntegerSet,
-                         InvalidParameterError, NathansonParams,
-                         check_thm31_conditions,
-                         classify, from_config, interval_minus_point,
-                         mdts_interval_plus_point, miller_mstd, nathanson_mstd,
-                         nonfill_explicit_mdts, nonfill_explicit_mstd,
-                         thm31_base)
+                         InvalidParameterError, NathansonParams, affine,
+                         check_thm31_conditions, classify, diffset,
+                         fill1_chain, fill2_chain, from_config,
+                         interval_minus_point, is_pn, mdts_interval_plus_point,
+                         miller_mstd, nathanson_mstd, nonfill_explicit_mdts,
+                         nonfill_explicit_mstd, profile, sumset,
+                         symmetry_center, thm31_base, thm31_chain)
 from mstd_chains import constructions
 
 from .conftest import (FILL2_L, FILL2_N, FILL2_R, THM31_GENERAL, THM31_STRICT,
@@ -371,7 +372,8 @@ def test_conditions_bound_their_witnesses():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 << 20, f"peak {peak / 2**20:.1f} MiB"
+    # the run scan reads the sumset's bytes, not a bin() string of its bits
+    assert peak < 5 << 20, f"peak {peak / 2**20:.1f} MiB"
     assert report.missing == {label: list(range(1, 11)) for label in ("L+L", "R+R", "L+R")}
     assert report.missing_count == {"L+L": n - 1, "R+R": n - 1, "L+R": n - 1}
     assert report.failures[0] == ("[0, n-1] not covered by L+L (missing 999999 values, "
@@ -438,3 +440,39 @@ def test_from_config_unknown():
         from_config({"construction": "unheard_of"})
     with pytest.raises(InvalidParameterError):
         from_config({"m": 14, "p": 17})
+
+
+# ---------------------------------------------------------------------------
+# set-valued parameters
+# ---------------------------------------------------------------------------
+
+_LIST = [0, 1, 3]
+_B = IntegerSet([0, 1, 3, 4])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: profile(_LIST), "profile: a"),
+    (lambda: sumset(_LIST), "sumset: a"),
+    (lambda: diffset(_LIST), "diffset: a"),
+    (lambda: classify(_LIST), "classify: a"),
+    (lambda: symmetry_center(_LIST), "symmetry_center: a"),
+    (lambda: affine(_LIST, 1, 0), "affine: a"),
+    (lambda: is_pn(_LIST, 0), "is_pn: a"),
+    (lambda: NathansonParams(m=5, B=_LIST, lstar=IntegerSet([2]), k=2).validate(),
+     "nathanson_mstd: B"),
+    (lambda: nathanson_mstd(NathansonParams(m=5, B=_B, lstar=_LIST, k=2)),
+     "nathanson_mstd: lstar"),
+    (lambda: miller_mstd(_LIST, IntegerSet(FILL2_R), FILL2_N, 10, 1), "miller_mstd: L"),
+    (lambda: miller_mstd(IntegerSet(FILL2_L), IntegerSet(FILL2_R), FILL2_N, 10, 1, _LIST),
+     "miller_mstd: middle"),
+    (lambda: check_thm31_conditions(_LIST, IntegerSet([0, 8]), 8),
+     "check_thm31_conditions: L"),
+    (lambda: thm31_base(IntegerSet(THM31_STRICT["L"]), _LIST, 8, 10), "thm31_base: R"),
+    (lambda: fill1_chain(_LIST, 3), "fill1_chain: seed"),
+    (lambda: fill2_chain(IntegerSet(FILL2_L), _LIST, FILL2_N, 3), "fill2_chain: R"),
+    (lambda: thm31_chain(_LIST, IntegerSet(THM31_STRICT["R"]), 8, 10, 3), "thm31_chain: L"),
+])
+def test_set_parameters_must_be_integer_sets(call, message):
+    # a list has no is_empty, which used to surface as a bare AttributeError
+    with pytest.raises(InvalidParameterError, match=f"^{message} must be an IntegerSet, not list"):
+        call()

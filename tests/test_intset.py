@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -268,6 +270,20 @@ def test_lazy_bits_backed_sets(conway):
     assert hash(IntegerSet([0, 1, 2])) == hash(IntegerSet.interval(0, 2))
     assert repr(IntegerSet.interval(0, 2)) == "IntegerSet([0, 1, 2])"
     assert repr(IntegerSet(range(13))) == "IntegerSet([0, 1, 2, 3, 4, 5, ... 10, 11, 12])"
+
+
+def test_elements_of_a_sparse_wide_vector_stay_small():
+    # three elements over 2 * 10**7 bits: a byte scan of the vector, not a
+    # bin() string of one byte per bit
+    wide = sumset(IntegerSet([0, 10**7]))
+    tracemalloc.start()
+    try:
+        elements = wide.elements
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elements == (0, 10**7, 2 * 10**7)
+    assert peak < 8 << 20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_set_operations(conway):

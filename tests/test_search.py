@@ -11,7 +11,7 @@ from mstd_chains import (Classification, IntegerSet, InvalidParameterError,
                          fill2_chain, find_fill2_seeds, min_cardinality_scan,
                          oracle_profile, profile, sample_mstd_proportion,
                          kernels, search, wilson_interval)
-from mstd_chains.kernels import (_BATCH, _grow, _mask_counts, _sample_chunk, _sample_rows,
+from mstd_chains.kernels import (_BATCH, _grow, _sample_chunk, _sample_rows, _set_words,
                                  _slice_counts, _subset_chunk)
 from mstd_chains.cli import cli_main
 from mstd_chains.search import _worker_count
@@ -297,6 +297,26 @@ def test_sampling_validation(capsys):
     assert "more than 100000000 samples" in capsys.readouterr().err
 
 
+def test_sampling_budgets_its_work(monkeypatch):
+    # about 24,400 chunks of 8.6 s each: refused before a task is built
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=r"n\*\*2 \* samples above 100000000000"):
+        sample_mstd_proportion(10**4, 10**8, 0)
+    assert time.perf_counter() - start < 0.2
+    scanned = []
+
+    def scan(worker, tasks, workers, domain, **extra):
+        scanned.append(sum(task[2] for task in tasks))
+        return search.SearchReport(domain, scanned[-1], 0, 0, scanned[-1], **extra)
+
+    monkeypatch.setattr(search, "_scan", scan)
+    for n, samples in [(1000, 10**5), (30, 10**8), (64, 10**7)]:
+        sample_mstd_proportion(n, samples, 0)
+    with pytest.raises(ResourceLimitError):
+        sample_mstd_proportion(1000, 10**5 + 1, 0)
+    assert scanned == [10**5, 10**8, 10**7]
+
+
 def test_wilson_interval():
     lo, hi = wilson_interval(0, 100)
     assert lo == 0.0 and 0 < hi < 0.05
@@ -358,9 +378,41 @@ def test_seed_discovery_cap():
 # the word-level kernel and its big-integer referee
 # ---------------------------------------------------------------------------
 
+def _mask_counts(bits: int, span: int) -> tuple[int, int]:
+    """(|A+A|, |A-A|) for the set encoded by ``bits`` (bit i = element i).
+
+    ``span`` is the highest set bit. Works by OR-ing shifted Python
+    integers, one per element. The referee for ``_grow``, ``_set_words``
+    and ``_sample_chunk``, sharing no code with them.
+    """
+    s = 0
+    d = 0
+    rest = bits
+    while rest:
+        low = rest & -rest
+        a = low.bit_length() - 1
+        s |= bits << a
+        d |= bits << (span - a)
+        rest ^= low
+    return s.bit_count(), d.bit_count()
+
+
 def _referee_sign(bits: int) -> int:
     s, f = _mask_counts(bits, max(bits.bit_length() - 1, 0))
     return (s > f) - (s < f)
+
+
+def test_set_words_match_referee():
+    rng = np.random.default_rng(5)
+    for width in (1, 2, 31, 32, 33, 64, 65, 200):
+        for row in rng.integers(0, 2, size=(40, width), dtype=np.uint8):
+            row[[0, -1]] = 1
+            bits = int("".join(map(str, row[::-1].tolist())), 2)
+            sums, pdiffs = _set_words(bits)
+            assert sums.bit_length() == 2 * width - 1 and pdiffs.bit_length() == width
+            assert ((sums.bit_count(), 2 * pdiffs.bit_count() - 1)
+                    == _mask_counts(bits, width - 1)), (width, bits)
+    assert _set_words(0) == (0, 0)
 
 
 def _membership(masks, n):
@@ -485,6 +537,17 @@ def test_card_chunk_spans_batches_and_matches_recount(task):
     assert _subset_chunk(_card_task(*task)) == expected
 
 
+def test_wide_card_chunk_matches_recount():
+    # past the word width the worker counts each set alone
+    d, j_max = 70, 2
+    signs = []
+    for j in range(j_max + 1):
+        for combo in combinations(range(1, d), j):
+            signs.append(_referee_sign(1 | (1 << d) | sum(1 << c for c in combo)))
+    assert _subset_chunk(_card_task(d, j_max)) == (
+        len(signs), signs.count(1), signs.count(-1), signs.count(0), [])
+
+
 def test_per_set_branches_match_word_kernels(monkeypatch):
     # Conway-type 8-element sets are MSTD witnesses at d = 14
     card = _subset_chunk(_card_task(14, 6))
@@ -508,7 +571,8 @@ def test_per_set_branches_match_word_kernels(monkeypatch):
 def _grown(base, positions, max_size=None):
     """Every set ``_grow`` yields, as (bits, |A+A|, |A-A|) in yield order."""
     out = []
-    for bits, sums, pdiffs in _grow(base, positions, max_size):
+    limit = len(positions) if max_size is None else max_size
+    for bits, sums, pdiffs in _grow(base, positions, limit):
         assert bits.size == sums.size == pdiffs.size <= _BATCH
         out += zip(bits.tolist(), np.bitwise_count(sums).tolist(),
                    (2 * np.bitwise_count(pdiffs).astype(int) - 1).tolist())
