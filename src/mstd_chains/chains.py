@@ -34,6 +34,7 @@ from .constructions import (_check_fringe_seed, _hole_interval, _interval_plus_p
 from .errors import ChainBreakError, InvalidParameterError
 from .intset import (Classification, IntegerSet, SetProfile, _integers, _sets,
                      affine, classify, profile)
+from . import search
 from .rounding import round3_float
 
 METHOD_TAGS = ("fill1", "fill2", "nonfill", "thm31")
@@ -341,8 +342,6 @@ def verify_chain(record: ChainRecord) -> VerificationReport:
     no_fill_in_required=True)``. Failures land in the report, not in
     exceptions.
     """
-    from .search import oracle_profile  # local import: search builds on chains' peers
-
     if len(record.steps) < 2:
         raise InvalidParameterError("verify_chain: chain must have at least 2 steps")
 
@@ -354,7 +353,7 @@ def verify_chain(record: ChainRecord) -> VerificationReport:
             recomputed.append(step.profile)
             continue
         small = len(step.set) <= _ORACLE_CARD_LIMIT
-        fresh = oracle_profile(step.set) if small else profile(step.set)
+        fresh = search.oracle_profile(step.set) if small else profile(step.set)
         recomputed.append(fresh)
         if fresh != step.profile:
             profile_witnesses.append(

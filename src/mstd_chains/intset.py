@@ -568,8 +568,10 @@ def affine(a: IntegerSet, x: int, y: int) -> IntegerSet:
     if a._els is None and x in (1, -1):
         if x == 1:
             return IntegerSet._from_bits(a._bits, a._offset + y)
-        # read backwards, the bit string puts the maximum at bit 0
-        return IntegerSet._from_bits(int(bin(a._bits)[:1:-1], 2), y - a.max)
+        # mirrored, each run of bits i..j becomes top - j..top - i
+        top = a._bits.bit_length() - 1
+        mirrored = ((top - last, top - first) for first, last in _bit_runs(a._bits))
+        return IntegerSet._from_bits(_pack(mirrored, top + 1), y - a.max)
     els = a.elements
     out = tuple(map(y.__add__, els if x == 1 else map(x.__mul__, els)))
     return IntegerSet._from_sorted(out[::-1] if x < 0 else out)

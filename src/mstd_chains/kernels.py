@@ -14,10 +14,10 @@ its parents' words from the layer before, so its cost does not grow with
 the number of positions a limit leaves out.
 
 ``_subset_chunk`` is the one worker of both subset scans: a task is the
-sets of one diameter d that add at most a given number of free positions
-to a base. Below the word width it runs ``_grow``; past it, where only
-cardinality scans reach, their sets have few elements in a wide window
-and it counts one set at a time. ``_set_words`` gives a single set's
+sets that add at most a given number of free positions to fixed tops.
+When all of them lie below the word width it runs ``_grow``; otherwise,
+where only cardinality scans reach, the sets have few elements in a wide
+window and it counts one set at a time. ``_set_words`` gives a single set's
 words, for the base of each ``_grow`` batch and each set of the wide branch.
 
 Random samples share no prefix, so sampling classifies each chunk from
@@ -31,14 +31,15 @@ which ``search._scan`` folds into a report.
 
 from __future__ import annotations
 
+import heapq
 import math
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .search import _WITNESS_CAP, _split, _subsets_up_to
+from .search import _BY_SIZE, _WITNESS_CAP, _split, _subsets_up_to
 
 # most sets one kernel call holds; its five working words take 640 KiB
 _BATCH = 1 << 14
@@ -81,11 +82,12 @@ def _grow(base: int, positions: Sequence[int], max_size: int
     m = len(positions)
     # no batch holds more sets than the whole request or than _BATCH
     words = np.empty((4, min(_subsets_up_to(m, min(max_size, m)), _BATCH)), dtype=np.uint64)
-    for base, positions, limit, count in _split(base, positions, max_size, _BATCH):
+    for tops, positions, limit, count in _split((), positions, max_size, _BATCH):
+        bits = base | sum(1 << t for t in tops)
         if limit < len(positions):
-            yield _layer_batch(base, positions, limit, count, words)
+            yield _layer_batch(bits, positions, limit, count, words)
         else:
-            yield _grow_batch(base, positions, words)
+            yield _grow_batch(bits, positions, words)
 
 
 def _start(base: int, positions: Sequence[int], total: int, words: np.ndarray
@@ -187,37 +189,39 @@ def _elements(bits: int, offset: int = 0) -> tuple[int, ...]:
     return tuple(i + offset for i in range(bits.bit_length()) if (bits >> i) & 1)
 
 
-def _subset_chunk(task: tuple[int, int, Sequence[int], int, int]
-                  ) -> tuple[int, int, int, int, list[tuple]]:
-    """Classify every set {d} | base | T, T a subset of ``positions`` with |T| <= limit.
+def _keep_witnesses(witnesses: list[tuple], found: Iterable[tuple[int, ...]]) -> list[tuple]:
+    """Of ``witnesses`` and the keys (d, |A|, elements) of the MSTD sets ``found``,
+    d the largest element, the ``_WITNESS_CAP`` smallest keys and the
+    ``_WITNESS_CAP`` smallest by (|A|, d, elements): each scan's witnesses."""
+    keys = witnesses + [(e[-1], len(e), e) for e in found]
+    return sorted(set(heapq.nsmallest(_WITNESS_CAP, keys))
+                  | set(heapq.nsmallest(_WITNESS_CAP, keys, key=_BY_SIZE)))
 
-    The task is d with one of ``search._split``'s requests below d, so d
-    is the diameter of all its sets. A witness is (d, |A|, elements).
-    Below the word width the sets come from ``_grow``, and only the MSTD
-    sets of the smallest cardinalities of a batch are turned into element
-    tuples; past it, ``_set_words`` counts one set at a time.
+
+def _subset_chunk(task: tuple[tuple[int, ...], Sequence[int], int, int]
+                  ) -> tuple[int, int, int, int, list[tuple]]:
+    """Classify every set tops | T, T a subset of ``positions`` with |T| <= limit.
+
+    The task is one of ``search._split``'s requests, and a witness is
+    (d, |A|, elements), d the largest element. When every top and every
+    position is below the word width the sets come from ``_grow``;
+    otherwise ``_set_words`` counts one set at a time.
     """
-    d, base, positions, limit, _ = task
-    base |= 1 << d
+    tops, positions, limit, _ = task
+    base = sum(1 << t for t in tops)
     total = mstd = mdts = 0
     witnesses: list[tuple] = []
-    if d < _WORD_WIDTH:
+    if max((*tops, *positions[-1:])) < _WORD_WIDTH:
         for bits, sums, pdiffs in _grow(base, positions, limit):
             hits, more, fewer = _grow_tally(sums, pdiffs)
             total += bits.size
             mstd += more
             mdts += fewer
             if more:
-                found = bits[hits]
-                cards = np.bitwise_count(found)
-                k = min(_WITNESS_CAP, more) - 1
-                cut = np.partition(cards, k)[k]
-                witnesses += ((d, len(e), e) for e in map(_elements, found[cards <= cut].tolist()))
-                witnesses = sorted(witnesses)[:_WITNESS_CAP]
+                witnesses = _keep_witnesses(witnesses, map(_elements, bits[hits].tolist()))
         return total, mstd, mdts, total - mstd - mdts, witnesses
     for j in range(limit + 1):
-        # combinations() copies its pool even for j = 0, which would cost
-        # O(d) per diameter in the common card_max = 2 scan
+        # combinations() copies its pool even for j = 0, and positions can span the window
         for combo in combinations(positions, j) if j else [()]:
             bits = base | sum(1 << c for c in combo)
             sums, pdiffs = _set_words(bits)
@@ -225,12 +229,7 @@ def _subset_chunk(task: tuple[int, int, Sequence[int], int, int]
             total += 1
             if s > f:
                 mstd += 1
-                # sizes come in increasing order and each size's combinations
-                # in lexicographic order, below the base's top positions, so
-                # the first hits are the smallest
-                if len(witnesses) < _WITNESS_CAP:
-                    elements = _elements(bits)
-                    witnesses.append((d, len(elements), elements))
+                witnesses = _keep_witnesses(witnesses, [_elements(bits)])
             elif s < f:
                 mdts += 1
     return total, mstd, mdts, total - mstd - mdts, witnesses

@@ -7,12 +7,12 @@ below diameter 14 or with fewer than 8 elements in the scanned region),
 and the seeded sampler estimates how common MSTD subsets are.
 
 The exhaustive and the cardinality scan are one scan (``_subset_scan``):
-every subset of [0, d] holding 0 and d, for each d <= d_max, with at most
-card_max elements; the exhaustive scan leaves no size out. ``_split``
-cuts the sets of one diameter on its top free position into tasks of at
-most ``_TASK_SETS`` sets, and the kernels cut a task into batches the
-same way. One budget of ``_SET_BUDGET`` sets, counted in closed form
-before any task is built, bounds both scans and the sampler.
+every subset of [0, d_max] holding 0, with at most card_max elements, its
+largest element its diameter; the exhaustive scan leaves no size out.
+One ``_split`` cuts them on their top positions into tasks of at most
+``_TASK_SETS`` sets, and the kernels cut a task into batches the same way.
+One budget of ``_SET_BUDGET`` sets, counted in closed form before any task
+is built, bounds both scans and the sampler; ``_WINDOW`` bounds d_max.
 
 Task boundaries and per-chunk RNG seeds depend only on the request,
 never on the worker count, and results merge associatively: reports are
@@ -47,11 +47,14 @@ if TYPE_CHECKING:
 # most sets per scan task: several kernel batches, so that a task's work
 # outweighs handing it to a worker
 _TASK_SETS = 1 << 17
+_WINDOW = _TASK_SETS  # widest d_max + 1: a card_max <= 2 scan of it is one task
 _SAMPLE_CHUNK = 1 << 12
 _WITNESS_CAP = 8
 _ORACLE_CARD_CAP = 10_000
 _SET_BUDGET = 100_000_000  # most sets one search classifies
 _SAMPLE_WORK = 10**11  # most n**2 * samples, a few seconds of serial work
+# a subset scan's witness key is (d, |A|, elements); this orders it by size first
+_BY_SIZE = itemgetter(1, 0, 2)
 
 
 def oracle_profile(a: IntegerSet | Iterable[int]) -> SetProfile:
@@ -85,24 +88,24 @@ def _subsets_up_to(m: int, limit: int) -> int:
     return sum(math.comb(m, i) for i in range(limit + 1))
 
 
-def _split(base: int, positions: Sequence[int], max_size: int, cap: int
-           ) -> Iterator[tuple[int, Sequence[int], int, int]]:
-    """(base, positions, limit, count) requests of count <= ``cap`` sets, in counter order.
+def _split(tops: tuple[int, ...], positions: Sequence[int], max_size: int, cap: int
+           ) -> Iterator[tuple[tuple[int, ...], Sequence[int], int, int]]:
+    """(tops, positions, limit, count) requests of count <= ``cap`` sets, in counter order.
 
-    The request is every set base | T, T a subset of ``positions`` with
-    |T| <= ``max_size``. A larger request splits on its top position: the
-    sets without it come first, then those with it.
+    The request is every set tops | T, T a subset of ``positions`` with
+    |T| <= ``max_size``. A larger request peels off top positions until the
+    sets without them fit; those come first, then for each peeled position,
+    in increasing order, the sets whose top it is, split again with it in
+    ``tops``. Only that recurses, at most ``max_size`` deep.
     """
+    if max_size < 0:
+        return
     m = len(positions)
-    limit = min(max_size, m)
-    if limit < 0:
-        return
-    count = _subsets_up_to(m, limit)
-    if count <= cap:
-        yield base, positions, limit, count
-        return
-    yield from _split(base, positions[:-1], max_size, cap)
-    yield from _split(base | 1 << positions[-1], positions[:-1], max_size - 1, cap)
+    while (count := _subsets_up_to(m, min(max_size, m))) > cap:
+        m -= 1
+    yield tops, positions[:m], min(max_size, m), count
+    for k in range(m, len(positions)):
+        yield from _split((*tops, positions[k]), positions[:k], max_size - 1, cap)
 
 
 @dataclass(frozen=True)
@@ -203,7 +206,7 @@ def _scan(worker, tasks: Sequence, workers: int, domain: str, order=None,
 
     Each chunk returns (examined, mstd, mdts, balanced, witnesses), where a
     witness is a sort key ending in the set's elements, and a chunk's
-    witnesses are its ``_WITNESS_CAP`` smallest under ``order`` too. Counts
+    witnesses include its ``_WITNESS_CAP`` smallest under ``order``. Counts
     add up and the report keeps the ``_WITNESS_CAP`` keys of all chunks
     smallest under ``order`` (the keys themselves when it is None), so it
     does not depend on how the tasks were split between workers.
@@ -222,27 +225,22 @@ def _scan(worker, tasks: Sequence, workers: int, domain: str, order=None,
 
 def _subset_scan(caller: str, d_max: int, card_max: int, workers: int, domain: str,
                  order=None) -> SearchReport:
-    """Classify every subset of [0, d] with 0, d and at most card_max elements,
-    for all d <= d_max.
+    """Classify every subset of [0, d_max] with 0 and at most card_max elements.
 
-    A ``kernels._subset_chunk`` task is (d, base, positions, limit, count):
-    its sets are {d} | base | T, T at most ``limit`` of ``positions``, where
-    base holds 0 and any top positions ``_split`` fixed. d stays out of
-    base, so the task list holds no d-bit integer per diameter. Every task
-    has one diameter, so its witnesses, keyed (d, |A|, elements), are its
-    smallest under any ``order`` that compares d and |A| before the
-    elements.
+    Such a set is {0} | T, T at most card_max - 1 positions of [1, d_max],
+    and its diameter d is its largest element. One ``_split`` cuts that
+    family into ``kernels._subset_chunk`` tasks, so a task may mix
+    diameters and keeps its smallest witnesses under both witness orders.
     """
-    # each set is {0} with fewer than card_max elements of [1, d_max], the
-    # largest of them d, so C(d_max, i) sets for each i < card_max; the
-    # running total stops past the budget
+    if d_max >= _WINDOW:
+        raise ResourceLimitError(f"{caller}: d_max must be below {_WINDOW}")
+    # C(d_max, i) sets for each i < card_max; the running total stops past the budget
     sizes = (math.comb(d_max, i) for i in range(min(card_max, d_max + 1)))
     if any(total > _SET_BUDGET for total in accumulate(sizes)):
         raise ResourceLimitError(f"{caller}: more than {_SET_BUDGET} sets")
-    tasks = [(d, *task) for d in range(d_max, -1, -1)
-             for task in _split(1, range(1, d), card_max - (2 if d else 1), _TASK_SETS)]
+    tasks = list(_split((0,), range(1, d_max + 1), card_max - 1, _TASK_SETS))
     # largest first, so that no big task is left for one worker at the end
-    tasks.sort(key=itemgetter(4), reverse=True)
+    tasks.sort(key=itemgetter(3), reverse=True)
     from .kernels import _subset_chunk
     return _scan(_subset_chunk, tasks, workers, domain, order)
 
@@ -266,7 +264,7 @@ def min_cardinality_scan(d_max: int, card_max: int, workers: int = 1) -> SearchR
 
     Establishes whether any MSTD set with fewer than 8 elements exists in
     the scanned region (none do). Witnesses are the MSTD sets smallest by
-    (cardinality, diameter, elements).
+    (cardinality, diameter, elements). d_max must be below 2**17.
     """
     d_max, card_max, workers = _integers("min_cardinality_scan", d_max=d_max,
                                          card_max=card_max, workers=workers)
@@ -275,7 +273,7 @@ def min_cardinality_scan(d_max: int, card_max: int, workers: int = 1) -> SearchR
     return _subset_scan("min_cardinality_scan", d_max, card_max, workers,
                         f"subsets of [0,d] containing 0 and d, 0 <= d <= {d_max}, "
                         f"cardinality <= {card_max}",
-                        order=lambda key: (key[1], key[0], key[2]))
+                        order=_BY_SIZE)
 
 
 # ---------------------------------------------------------------------------

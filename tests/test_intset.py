@@ -138,6 +138,24 @@ def test_affine_invariance(a, x, y):
     assert len(diffset(b)) == len(diffset(a))
 
 
+def test_affine_mirrors_a_bit_vector_set_run_by_run():
+    # a sumset is held as a bit-vector, which x = -1 mirrors without elements
+    rng = np.random.default_rng(138)
+    for _ in range(200):
+        a = sumset(IntegerSet(rng.integers(-300, 301, size=int(rng.integers(1, 30))).tolist()))
+        y = int(rng.integers(-1000, 1001))
+        assert affine(a, -1, y).to_list() == [y - e for e in reversed(a.to_list())]
+    wide = sumset(IntegerSet([0, 10**7]))
+    tracemalloc.start()
+    try:
+        mirrored = affine(wide, -1, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mirrored.to_list() == [-2 * 10**7, -10**7, 0]
+    assert peak < 16 << 20, peak
+
+
 # ---------------------------------------------------------------------------
 # classification, symmetry, fringe completeness
 # ---------------------------------------------------------------------------

@@ -126,14 +126,12 @@ def test_exhaustive_budget_admits_exactly_two_to_the_d_max(monkeypatch):
                 with pytest.raises(ResourceLimitError, match="more than"):
                     exhaustive_by_diameter(d_max)
             else:
-                assert sum(task[4] for task in exhaustive_by_diameter(d_max)) == 2**d_max
-    # its tasks are 2**17-set ranges of each diameter's interior counter, largest
-    # diameter first, and no task leaves a size out
+                assert sum(task[3] for task in exhaustive_by_diameter(d_max)) == 2**d_max
+    # its tasks are the 2**17-set ranges of the counter over [1, 21], in
+    # counter order, and no task leaves a size out
     monkeypatch.setattr(search, "_SET_BUDGET", 1 << 21)
-    expected = [_chunk_task(d, lo, lo + size)
-                for d in range(21, -1, -1)
-                for size in [min(1 << max(d - 1, 0), search._TASK_SETS)]
-                for lo in range(0, 1 << max(d - 1, 0), size)]
+    expected = [_chunk_task(lo, lo + search._TASK_SETS)
+                for lo in range(0, 1 << 21, search._TASK_SETS)]
     assert exhaustive_by_diameter(21) == expected
 
 
@@ -180,7 +178,7 @@ def test_card_scan_past_the_word_width_is_linear_in_diameter(monkeypatch):
     report = min_cardinality_scan(2 * 10**4, 2)
     assert time.perf_counter() - start < 2.5
     assert (report.total_examined, report.balanced_count) == (2 * 10**4 + 1, 2 * 10**4 + 1)
-    # nor does its task list hold a d-bit integer per diameter (25 MB here)
+    # its sets are one task, which holds no d-bit integer (25 MB here)
     import tracemalloc
 
     monkeypatch.setattr(search, "_scan", lambda worker, tasks, *args: tasks)
@@ -190,7 +188,7 @@ def test_card_scan_past_the_word_width_is_linear_in_diameter(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(tasks) == 2 * 10**4 + 1
+    assert [task[3] for task in tasks] == [2 * 10**4 + 1]
     assert peak < 8 << 20, peak
 
 
@@ -217,7 +215,7 @@ def test_card_scan_budget_equals_the_summed_task_sizes(monkeypatch):
                         min_cardinality_scan(d_max, card_max)
                 else:
                     tasks = min_cardinality_scan(d_max, card_max)
-                    assert sum(task[4] for task in tasks) == sets
+                    assert sum(task[3] for task in tasks) == sets
     monkeypatch.undo()
     # a card_max far above d_max counts every subset
     assert min_cardinality_scan(6, 10**9).total_examined == 2**6
@@ -230,14 +228,70 @@ def test_card_scan_worker_invariance():
 
 
 def test_split_scan_tasks_give_the_same_reports(monkeypatch):
-    # 32-set tasks split every diameter, past the word width too, where the
-    # split fixes top positions in the base of a per-set task
-    requests = [(20, 5), (33, 3)]
-    expected = [min_cardinality_scan(*request).to_json() for request in requests]
+    # 32-set tasks split every scan, past the word width too, where the split
+    # fixes top positions of a per-set task; the exhaustive scan's tasks mix
+    # diameters and must still give its by-diameter witnesses
+    requests = [(min_cardinality_scan, 20, 5), (min_cardinality_scan, 33, 3),
+                (exhaustive_by_diameter, 16)]
+    expected = [scan(*args).to_json() for scan, *args in requests]
     monkeypatch.setattr(search, "_TASK_SETS", 1 << 5)
     for workers in (1, 2):
-        assert [min_cardinality_scan(*request, workers=workers).to_json()
-                for request in requests] == expected
+        assert [scan(*args, workers=workers).to_json()
+                for scan, *args in requests] == expected
+
+
+def test_scan_task_shapes(monkeypatch):
+    monkeypatch.setattr(search, "_scan", lambda worker, tasks, *args: tasks)
+    assert [task[3] for task in exhaustive_by_diameter(19)] == [1 << 17] * 4
+    counts = [task[3] for task in min_cardinality_scan(24, 7)]
+    assert len(counts) == 3 and sum(counts) == 190_051
+    assert [task[3] for task in min_cardinality_scan(2 * 10**4, 2)] == [2 * 10**4 + 1]
+    assert [task[3] for task in min_cardinality_scan(10**5, 2)] == [10**5 + 1]
+    monkeypatch.undo()
+
+    # a scan of one task runs serially: no pool starts
+    def no_pool(workers):
+        raise AssertionError("a one-task scan started a pool")
+
+    monkeypatch.setattr(search, "_shared_pool", no_pool)
+    report = min_cardinality_scan(2 * 10**4, 2, workers=2)
+    assert (report.total_examined, report.balanced_count) == (2 * 10**4 + 1, 2 * 10**4 + 1)
+
+
+def test_split_peels_top_positions_without_deep_recursion():
+    # one single-set request per peeled position: recursing on each would go
+    # 9,000 levels deep
+    start = time.perf_counter()
+    requests = list(search._split((0,), range(1, 10**4 + 1), 1, 1 << 10))
+    assert time.perf_counter() - start < 1.0
+    assert len(requests) == 8978
+    assert requests[0] == ((0,), range(1, 1024), 1, 1024)
+    assert requests[1:] == [((0, p), range(1, p), 0, 1) for p in range(1024, 10**4 + 1)]
+
+
+@pytest.mark.parametrize("d_max", [99_999_999, 2 * 10**5, 1 << 17])
+def test_card_scan_window_is_bounded(d_max):
+    # past 2**17 positions a card_max = 2 scan would peel a task per position
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="d_max must be below 131072"):
+        min_cardinality_scan(d_max, 2)
+    assert time.perf_counter() - start < 0.2
+
+
+def test_largest_card_three_scan_builds_a_small_task_list(monkeypatch):
+    import tracemalloc
+
+    monkeypatch.setattr(search, "_scan", lambda worker, tasks, *args: tasks)
+    with pytest.raises(ResourceLimitError, match="more than"):
+        min_cardinality_scan(14142, 3)
+    tracemalloc.start()
+    try:
+        tasks = min_cardinality_scan(14141, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(task[3] for task in tasks) == 1 + 14141 + 14141 * 14140 // 2
+    assert peak < 8 << 20, peak
 
 
 # ---------------------------------------------------------------------------
@@ -492,17 +546,18 @@ def test_sample_chunk_memory_and_time_are_bounded():
     assert elapsed < 2.0
 
 
-def _chunk_task(d, lo, hi):
-    """The scan task of interior masks [lo, hi) at diameter d, hi - lo a power
-    of two and lo a multiple of it: the high bits of lo with every subset of
-    the low log2(hi - lo)."""
+def _chunk_task(lo, hi, *tops):
+    """The scan task of masks [lo, hi) over the positions from 1, with 0 and
+    ``tops``, hi - lo a power of two and lo a multiple of it: the high bits
+    of lo fixed, largest first, with every subset of the low log2(hi - lo)."""
     positions = range(1, (hi - lo).bit_length())
-    return d, (lo << 1) | 1, positions, len(positions), hi - lo
+    high = (p for p in range(lo.bit_length(), 0, -1) if (lo >> (p - 1)) & 1)
+    return (0, *high, *tops), positions, len(positions), hi - lo
 
 
 def _card_task(d, j_max):
     """The scan task of {0, d} with at most j_max interior elements."""
-    return d, 1, range(1, d), j_max, search._subsets_up_to(d - 1, j_max)
+    return (0, d), range(1, d), j_max, search._subsets_up_to(d - 1, j_max)
 
 
 @pytest.mark.parametrize("task", [(16, 0, 1 << 14), (16, 1 << 14, 1 << 15)])
@@ -517,7 +572,7 @@ def test_enum_chunk_matches_per_mask_recount(task):
             witnesses.append((d, len(elements), elements))
     expected = (hi - lo, signs.count(1), signs.count(-1), signs.count(0),
                 sorted(witnesses)[:8])
-    assert _subset_chunk(_chunk_task(*task)) == expected
+    assert _subset_chunk(_chunk_task(lo, hi, d)) == expected
 
 
 @pytest.mark.parametrize("task", [(20, 5), (18, 8)])
@@ -552,16 +607,23 @@ def test_per_set_branches_match_word_kernels(monkeypatch):
     # Conway-type 8-element sets are MSTD witnesses at d = 14
     card = _subset_chunk(_card_task(14, 6))
     assert card[1] > 0
-    # split tasks, whose bases hold fixed top positions
-    split = [(14, *task) for task in search._split(1, range(1, 14), 6, 1 << 10)]
+    # split tasks, whose tops hold fixed top positions
+    split = list(search._split((0, 14), range(1, 14), 6, 1 << 10))
     assert len(split) > 2
     parts = [_subset_chunk(task) for task in split]
     assert [sum(part[i] for part in parts) for i in range(4)] == list(card[:4])
     assert sorted(w for part in parts for w in part[4])[:8] == card[4]
+    # the split of a whole scan: its first task, with no top but 0, holds
+    # sets of every diameter up to its positions' last
+    mixed = list(search._split((0,), range(1, 18), 8, 1 << 15))
+    assert len(mixed) > 2 and mixed[0][:2] == ((0,), range(1, 16))
+    mixed_parts = [_subset_chunk(task) for task in mixed]
+    assert mixed_parts[0][1] > 0
     # a narrower word sends the worker down its per-set big-integer branch
     monkeypatch.setattr(kernels, "_WORD_WIDTH", 8)
     assert _subset_chunk(_card_task(14, 6)) == card
     assert [_subset_chunk(task) for task in split] == parts
+    assert [_subset_chunk(task) for task in mixed] == mixed_parts
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +701,7 @@ def test_grow_split_matches_unsplit(monkeypatch):
     whole = _grown(base, free)
     limited = sorted(_grown(base, free, 6))
     assert limited == sorted(_counter_order(base, free, 6))
-    tasks = [_chunk_task(17, 0, 1 << 14), _chunk_task(17, 1 << 14, 1 << 15),
+    tasks = [_chunk_task(0, 1 << 14, 17), _chunk_task(1 << 14, 1 << 15, 17),
              _card_task(20, 5), _card_task(31, 3), _card_task(18, 8)]
     chunks = [_subset_chunk(task) for task in tasks]
     seeds = find_fill2_seeds(9)
@@ -730,13 +792,14 @@ def test_worker_count_clamps_and_rejects(monkeypatch):
 
 
 def test_pool_is_reused_then_replaced_on_count_change(monkeypatch):
+    # four tasks of 2**17 sets
     monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
-    first = exhaustive_by_diameter(12, workers=2)
+    first = exhaustive_by_diameter(19, workers=2)
     pool = search._pool[2]
-    second = exhaustive_by_diameter(12, workers=2)
+    second = exhaustive_by_diameter(19, workers=2)
     assert first.to_json() == second.to_json()
     assert search._pool == (os.getpid(), 2, pool)
-    third = exhaustive_by_diameter(12, workers=5)  # clamped to 3
+    third = exhaustive_by_diameter(19, workers=5)  # clamped to 3
     assert third.to_json() == first.to_json()
     assert search._pool[:2] == (os.getpid(), 3) and search._pool[2] is not pool
 
@@ -748,14 +811,15 @@ def _fail_on_two(x: int) -> int:
 
 
 def test_failed_pooled_map_replaces_the_pool(monkeypatch):
+    # two tasks of 2**17 sets
     monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
-    exhaustive_by_diameter(12, workers=2)
+    exhaustive_by_diameter(18, workers=2)
     pool = search._pool[2]
     with pytest.raises(ValueError, match="task 2 fails"):
         search._run_tasks(_fail_on_two, [1, 2, 3, 4], 2)
     assert search._pool is None
-    after = exhaustive_by_diameter(12, workers=2)
-    assert after.to_json() == exhaustive_by_diameter(12).to_json()
+    after = exhaustive_by_diameter(18, workers=2)
+    assert after.to_json() == exhaustive_by_diameter(18).to_json()
     assert search._pool[:2] == (os.getpid(), 2) and search._pool[2] is not pool
 
 
@@ -766,7 +830,7 @@ def test_pooled_search_exits_cleanly_in_fresh_interpreter():
 
     script = ("import os; os.cpu_count = lambda: 2\n"
               "from mstd_chains import exhaustive_by_diameter, sample_mstd_proportion\n"
-              "a = exhaustive_by_diameter(12, workers=2)\n"
+              "a = exhaustive_by_diameter(18, workers=2)\n"
               "b = sample_mstd_proportion(20, 9000, seed=3, workers=2)\n"
               "print(a.total_examined, b.total_examined)\n")
     src = str(Path(search.__file__).resolve().parents[1])
@@ -776,7 +840,7 @@ def test_pooled_search_exits_cleanly_in_fresh_interpreter():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0
     assert done.stderr == ""
-    assert done.stdout.split() == [str(2 ** 12), "9000"]
+    assert done.stdout.split() == [str(2 ** 18), "9000"]
 
 
 def test_numpy_is_loaded_before_the_pool_forks():
@@ -790,7 +854,7 @@ def test_numpy_is_loaded_before_the_pool_forks():
               "    seen.append('numpy' in sys.modules)\n"
               "    return start_pool(workers)\n"
               "search._shared_pool = recording\n"
-              "exhaustive_by_diameter(12, workers=2)\n"
+              "exhaustive_by_diameter(18, workers=2)\n"
               "print(seen)\n")
     done = run_python("-c", script)
     assert done.returncode == 0, done.stderr
