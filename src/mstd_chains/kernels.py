@@ -15,26 +15,24 @@ the number of positions a limit leaves out.
 
 ``_subset_chunk`` is the one worker of both subset scans: a task is the
 sets that add at most a given number of free positions to fixed tops.
-When all of them lie below the word width it runs ``_grow``; otherwise,
-where only cardinality scans reach, the sets have few elements in a wide
-window and it counts one set at a time. ``_set_words`` gives a single set's
-words, for the base of each ``_grow`` batch and each set of the wide branch.
+The kernel is picked per set: ``_grow`` takes every set inside the word
+width, and each set with an element past it, which only cardinality scans
+reach, is counted alone by ``_set_words``, which also seeds each batch.
 
 Random samples share no prefix, so sampling classifies each chunk from
 scratch, bit-sliced: for each position a, bit k of a ``uint64`` word
 says whether sample k holds a, so one word operation serves 64 samples
-and no word width limits n (``_slice_counts``).
-
-Each chunk worker returns (examined, mstd, mdts, balanced, witnesses),
-which ``search._scan`` folds into a report.
+and no word width limits n (``_slice_counts``). ``search._scan`` folds
+the chunk workers' results into a report.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -198,40 +196,46 @@ def _keep_witnesses(witnesses: list[tuple], found: Iterable[tuple[int, ...]]) ->
                   | set(heapq.nsmallest(_WITNESS_CAP, keys, key=_BY_SIZE)))
 
 
+def _peel(bits: int, positions: Sequence[int], start: int, end: int, limit: int) -> Iterator[int]:
+    """Each bits | {positions[k]} | T, start <= k < end and T a subset of
+    positions[:k] with |T| < ``limit``, read by index: at most ``limit`` deep."""
+    for k in range(start, end if limit else start):
+        yield (top := bits | 1 << positions[k])
+        if limit > 1:  # an empty generator per leaf would double the peel's cost
+            yield from _peel(top, positions, 0, k, limit - 1)
+
+
 def _subset_chunk(task: tuple[tuple[int, ...], Sequence[int], int, int]
                   ) -> tuple[int, int, int, int, list[tuple]]:
     """Classify every set tops | T, T a subset of ``positions`` with |T| <= limit.
 
     The task is one of ``search._split``'s requests, and a witness is
-    (d, |A|, elements), d the largest element. When every top and every
-    position is below the word width the sets come from ``_grow``;
-    otherwise ``_set_words`` counts one set at a time.
+    (d, |A|, elements), d the largest element. If the tops lie below the
+    word width, one ``_grow`` call takes the positions below it; every other
+    set has an element past it, reached by ``_peel``, and is counted alone.
     """
     tops, positions, limit, _ = task
     base = sum(1 << t for t in tops)
+    wide = [base] if base >> _WORD_WIDTH else []  # a wide top: every set is counted alone
+    narrow = 0 if wide else bisect_left(positions, _WORD_WIDTH)
     total = mstd = mdts = 0
     witnesses: list[tuple] = []
-    if max((*tops, *positions[-1:])) < _WORD_WIDTH:
-        for bits, sums, pdiffs in _grow(base, positions, limit):
-            hits, more, fewer = _grow_tally(sums, pdiffs)
-            total += bits.size
-            mstd += more
-            mdts += fewer
-            if more:
-                witnesses = _keep_witnesses(witnesses, map(_elements, bits[hits].tolist()))
-        return total, mstd, mdts, total - mstd - mdts, witnesses
-    for j in range(limit + 1):
-        # combinations() copies its pool even for j = 0, and positions can span the window
-        for combo in combinations(positions, j) if j else [()]:
-            bits = base | sum(1 << c for c in combo)
-            sums, pdiffs = _set_words(bits)
-            s, f = sums.bit_count(), 2 * pdiffs.bit_count() - 1
-            total += 1
-            if s > f:
-                mstd += 1
-                witnesses = _keep_witnesses(witnesses, [_elements(bits)])
-            elif s < f:
-                mdts += 1
+    for bits, sums, pdiffs in [] if wide else _grow(base, positions[:narrow], limit):
+        hits, more, fewer = _grow_tally(sums, pdiffs)
+        total += bits.size
+        mstd += more
+        mdts += fewer
+        if more:
+            witnesses = _keep_witnesses(witnesses, map(_elements, bits[hits].tolist()))
+    for bits in chain(wide, _peel(base, positions, narrow, len(positions), limit)):
+        sums, pdiffs = _set_words(bits)
+        s, f = sums.bit_count(), 2 * pdiffs.bit_count() - 1
+        total += 1
+        if s > f:
+            mstd += 1
+            witnesses = _keep_witnesses(witnesses, [_elements(bits)])
+        elif s < f:
+            mdts += 1
     return total, mstd, mdts, total - mstd - mdts, witnesses
 
 

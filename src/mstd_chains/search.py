@@ -21,9 +21,9 @@ identical no matter how the work was partitioned.
 The chunk workers and their word-level kernels live in ``kernels``, the
 package's only numpy module. Each driver imports it before any work
 starts, so importing this module (and running the oracle) needs neither
-numpy nor ``multiprocessing``. Pooled scans share one process pool,
-started on first use, replaced when the worker count changes or a scan
-fails, and kept until the interpreter exits.
+numpy nor ``multiprocessing``. Scans of more than one task share one pool
+of min(workers, CPUs) processes, started on first use, replaced when that
+count changes or a scan fails, and kept until the interpreter exits.
 """
 
 from __future__ import annotations
@@ -160,13 +160,6 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 _pool: Optional[tuple[int, int, Pool]] = None
 
 
-def _worker_count(workers: int, tasks: int) -> int:
-    """Processes worth running: at most one per CPU and one per task."""
-    if workers < 1:
-        raise InvalidParameterError("workers must be >= 1")
-    return min(workers, os.cpu_count() or 1, tasks)
-
-
 def _close_pool() -> None:
     global _pool
     if _pool is not None and _pool[0] == os.getpid():
@@ -189,8 +182,11 @@ def _shared_pool(workers: int) -> Pool:
 
 
 def _run_tasks(worker, tasks: Sequence, workers: int) -> list:
-    workers = _worker_count(workers, len(tasks))
-    if workers <= 1:
+    if workers < 1:
+        raise InvalidParameterError("workers must be >= 1")
+    # at most one process per CPU; the task count never sizes the pool
+    workers = min(workers, os.cpu_count() or 1)
+    if workers <= 1 or len(tasks) <= 1:
         return [worker(t) for t in tasks]
     try:
         return _shared_pool(workers).map(worker, tasks, chunksize=1)

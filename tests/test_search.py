@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import time
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from mstd_chains import (Classification, IntegerSet, InvalidParameterError,
 from mstd_chains.kernels import (_BATCH, _grow, _sample_chunk, _sample_rows, _set_words,
                                  _slice_counts, _subset_chunk)
 from mstd_chains.cli import cli_main
-from mstd_chains.search import _worker_count
 
 from .conftest import CONWAY, FILL2_L, FILL2_R, REPO, run_python
 
@@ -102,9 +103,26 @@ def test_exhaustive_finds_minimal_mstd_first():
             == report.total_examined)
 
 
-def test_exhaustive_worker_invariance():
-    serial = exhaustive_by_diameter(12)
-    parallel = exhaustive_by_diameter(12, workers=2)
+def _pool_starts(monkeypatch):
+    """Two CPUs, and the worker counts ``_shared_pool`` is asked for, in order."""
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    seen = []
+    start_pool = search._shared_pool
+
+    def recording(workers):
+        seen.append(workers)
+        return start_pool(workers)
+
+    monkeypatch.setattr(search, "_shared_pool", recording)
+    return seen
+
+
+def test_exhaustive_worker_invariance(monkeypatch):
+    # two tasks of 2**17 sets, so workers=2 runs them in the pool
+    serial = exhaustive_by_diameter(18)
+    seen = _pool_starts(monkeypatch)
+    parallel = exhaustive_by_diameter(18, workers=2)
+    assert seen == [2]
     assert json.dumps(serial.to_json(), sort_keys=True) == \
         json.dumps(parallel.to_json(), sort_keys=True)
 
@@ -221,9 +239,12 @@ def test_card_scan_budget_equals_the_summed_task_sizes(monkeypatch):
     assert min_cardinality_scan(6, 10**9).total_examined == 2**6
 
 
-def test_card_scan_worker_invariance():
-    serial = min_cardinality_scan(12, 6)
-    parallel = min_cardinality_scan(12, 6, workers=2)
+def test_card_scan_worker_invariance(monkeypatch):
+    # three tasks, the first holding every set inside the word width
+    serial = min_cardinality_scan(24, 7)
+    seen = _pool_starts(monkeypatch)
+    parallel = min_cardinality_scan(24, 7, workers=2)
+    assert seen == [2]
     assert serial.to_json() == parallel.to_json()
 
 
@@ -626,6 +647,46 @@ def test_per_set_branches_match_word_kernels(monkeypatch):
     assert [_subset_chunk(task) for task in mixed] == mixed_parts
 
 
+def test_word_kernel_takes_every_set_inside_the_word_width(monkeypatch):
+    grown = []
+
+    def recording(base, positions, max_size):
+        for batch in _grow(base, positions, max_size):
+            grown.append(batch[0].size)
+            yield batch
+
+    monkeypatch.setattr(kernels, "_grow", recording)
+    # the first task also holds every set of [0, 31]; only the others are wide
+    assert min_cardinality_scan(34, 5).total_examined == 52_956
+    assert sum(grown) == sum(math.comb(31, i) for i in range(5)) == 36_457
+    for scan, args in ((min_cardinality_scan, (24, 7)), (exhaustive_by_diameter, (19,))):
+        grown.clear()
+        assert scan(*args).total_examined == sum(grown)
+
+
+class _NoSlices(tuple):
+    """Positions that count how often they are sliced."""
+
+    slices = 0
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            type(self).slices += 1
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("tops", [(0,), (0, 40)])
+def test_peel_copies_no_positions(tops, monkeypatch):
+    # positions are read by index: a task slices them once, for _grow, or
+    # not at all when a top lies past the word width
+    positions = range(1, 40)
+    task = (tops, positions, 3, search._subsets_up_to(len(positions), 3))
+    expected = _subset_chunk(task)
+    monkeypatch.setattr(_NoSlices, "slices", 0)
+    assert _subset_chunk((tops, _NoSlices(positions), *task[2:])) == expected
+    assert _NoSlices.slices == (tops[-1] < 32)
+
+
 # ---------------------------------------------------------------------------
 # the incremental kernel
 # ---------------------------------------------------------------------------
@@ -769,16 +830,26 @@ def test_search_reports_match_golden_file():
 # ---------------------------------------------------------------------------
 
 def test_worker_count_clamps_and_rejects(monkeypatch):
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
-    assert _worker_count(10**9, 100) == 4
-    assert _worker_count(3, 100) == 3
-    assert _worker_count(8, 2) == 2
-    assert _worker_count(1, 0) == 0
-    monkeypatch.setattr(search.os, "cpu_count", lambda: None)
-    assert _worker_count(8, 100) == 1
+    # the pool has at most one process per CPU, and the task count never
+    # sizes it: a single task, or a single worker, runs serially
+    sizes = []
+
+    def serial_pool(workers):
+        sizes.append(workers)
+        return SimpleNamespace(map=lambda worker, tasks, chunksize: list(map(worker, tasks)))
+
+    monkeypatch.setattr(search, "_shared_pool", serial_pool)
+    for cpus, workers, tasks, size in ((4, 10**9, 100, 4), (4, 3, 100, 3), (4, 8, 2, 4),
+                                       (4, 8, 1, None), (4, 1, 100, None), (4, 8, 0, None),
+                                       (None, 8, 100, None)):
+        monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
+        sizes.clear()
+        assert search._run_tasks(abs, range(-tasks, 0), workers) == list(range(tasks, 0, -1))
+        assert sizes == ([size] if size else [])
     for bad in (0, -3):
-        with pytest.raises(InvalidParameterError):
-            _worker_count(bad, 100)
+        for tasks in ([], [1], [1, 2]):
+            with pytest.raises(InvalidParameterError):
+                search._run_tasks(abs, tasks, bad)
     with pytest.raises(InvalidParameterError):
         exhaustive_by_diameter(3, workers=0)
     for bad in (2.0, True, "2", None):
@@ -802,6 +873,30 @@ def test_pool_is_reused_then_replaced_on_count_change(monkeypatch):
     third = exhaustive_by_diameter(19, workers=5)  # clamped to 3
     assert third.to_json() == first.to_json()
     assert search._pool[:2] == (os.getpid(), 3) and search._pool[2] is not pool
+
+
+def test_scans_of_different_task_counts_share_one_pool(monkeypatch):
+    import multiprocessing
+
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
+    started = []
+    start_pool = multiprocessing.Pool
+
+    def recording(*args, **kwargs):
+        started.append(kwargs)
+        return start_pool(*args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "Pool", recording)
+    search._close_pool()
+    try:
+        for _ in range(3):
+            # four tasks, three tasks, then 25 sampling chunks
+            assert exhaustive_by_diameter(19, workers=4).total_examined == 1 << 19
+            assert min_cardinality_scan(24, 7, workers=4).total_examined == 190_051
+            assert sample_mstd_proportion(30, 10**5, 1, workers=4).total_examined == 10**5
+        assert started == [{"processes": 4}]
+    finally:
+        search._close_pool()
 
 
 def _fail_on_two(x: int) -> int:
