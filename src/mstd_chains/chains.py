@@ -37,9 +37,6 @@ from .intset import (Classification, IntegerSet, SetProfile, _integers, _sets,
 from . import search
 from .rounding import round3_float
 
-METHOD_TAGS = ("fill1", "fill2", "nonfill", "thm31")
-
-
 @dataclass(frozen=True)
 class ChainStep:
     """One set of a chain with its profile."""

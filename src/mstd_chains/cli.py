@@ -19,8 +19,8 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .chains import (METHOD_TAGS, chain_from_json, fill1_chain, fill2_chain,
-                     nonfill_chain, thm31_chain, verify_chain)
+from .chains import (chain_from_json, fill1_chain, fill2_chain, nonfill_chain,
+                     thm31_chain, verify_chain)
 from .errors import (ArithmeticRangeError, ChainBreakError,
                      InvalidParameterError, ResourceLimitError)
 from .intset import IntegerSet, profile
@@ -50,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_analyze.set_defaults(run=_cmd_analyze)
 
     p_chain = sub.add_parser("chain", help="generate an alternating chain")
-    p_chain.add_argument("--method", required=True, choices=METHOD_TAGS)
+    p_chain.add_argument("--method", required=True, choices=_CHAIN_METHODS)
     p_chain.add_argument("--seed-set", type=_set_argument,
                          help="MSTD seed set (fill1)")
     p_chain.add_argument("--L", type=_set_argument, help="left fringe (fill2, thm31)")
@@ -123,8 +123,8 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-# Per chain method, the flags it reads by argparse destination (--mode counts
-# as given only when it is not "strict") and how it generates a chain from them.
+# --method's choices. Per method: the flags it reads by argparse destination
+# (--mode counts only when it is not "strict") and how it generates a chain.
 _CHAIN_METHODS = {
     "fill1": (("seed_set",), lambda args: fill1_chain(args.seed_set, args.steps)),
     "fill2": (("L", "R", "n"), lambda args: fill2_chain(args.L, args.R, args.n, args.steps)),

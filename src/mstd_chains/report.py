@@ -200,8 +200,6 @@ GOLDEN_TABLES: dict[str, list[tuple]] = {
     ],
 }
 
-GOLDEN_FOOTERS = {"fill1": "0.667", "fill2": "1.000", "nonfill": "0.500"}
-
 # Published cells that disagree with values recomputed from the printed
 # seed set itself: (method, 1-based row, column) -> (published, recomputed).
 # The seed of the linear fill-in example spans 19, not 16, which also
@@ -226,8 +224,6 @@ class CellCheck:
 class TableComparison:
     method: str
     cells: tuple[CellCheck, ...]
-    footer_expected: str
-    footer_computed: str
 
     @property
     def mismatches(self) -> tuple[CellCheck, ...]:
@@ -239,7 +235,7 @@ class TableComparison:
 
     @property
     def passed(self) -> bool:
-        return not self.mismatches and self.footer_expected == self.footer_computed
+        return not self.mismatches
 
     def render(self) -> str:
         lines = [f"reference comparison for method {self.method}: "
@@ -254,9 +250,6 @@ class TableComparison:
                 f"  MISMATCH row A_{c.row} {c.column}: expected {c.expected}, "
                 f"computed {c.computed}"
             )
-        if self.footer_expected != self.footer_computed:
-            lines.append(f"  MISMATCH footer: expected {self.footer_expected}, "
-                         f"computed {self.footer_computed}")
         return "\n".join(lines)
 
 
@@ -291,11 +284,4 @@ def compare_to_golden(record: ChainRecord) -> TableComparison:
                 else:
                     status = "mismatch"
             checks.append(CellCheck(i, column, expected_str, computed, status))
-    analytic = ANALYTIC_DENSITY_LIMITS.get(method)
-    footer_computed = format3(analytic)
-    return TableComparison(
-        method=method,
-        cells=tuple(checks),
-        footer_expected=GOLDEN_FOOTERS[method],
-        footer_computed=footer_computed,
-    )
+    return TableComparison(method=method, cells=tuple(checks))

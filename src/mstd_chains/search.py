@@ -196,8 +196,7 @@ def _run_tasks(worker, tasks: Sequence, workers: int) -> list:
         raise
 
 
-def _scan(worker, tasks: Sequence, workers: int, domain: str, order=None,
-          **extra) -> SearchReport:
+def _scan(worker, tasks: Sequence, workers: int, domain: str, order=None) -> SearchReport:
     """Run the chunk tasks and fold their results into one report.
 
     Each chunk returns (examined, mstd, mdts, balanced, witnesses), where a
@@ -212,7 +211,7 @@ def _scan(worker, tasks: Sequence, workers: int, domain: str, order=None,
     keys = sorted(chain.from_iterable(p[4] for p in parts), key=order)[:_WITNESS_CAP]
     return SearchReport(domain=domain, total_examined=total, mstd_count=mstd,
                         mdts_count=mdts, balanced_count=bal,
-                        witnesses=tuple(IntegerSet(k[-1]) for k in keys), **extra)
+                        witnesses=tuple(IntegerSet(k[-1]) for k in keys))
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +300,8 @@ def sample_mstd_proportion(n: int, samples: int, seed: int,
              for chunk_index, start in enumerate(range(0, samples, _SAMPLE_CHUNK))]
     from .kernels import _sample_chunk
     report = _scan(_sample_chunk, tasks, workers,
-                   f"uniform random subsets of [1,{n}], p=1/2 per element", seed=seed)
-    return replace(report,
+                   f"uniform random subsets of [1,{n}], p=1/2 per element")
+    return replace(report, seed=seed,
                    mstd_fraction=Fraction(report.mstd_count, report.total_examined),
                    ci95=wilson_interval(report.mstd_count, report.total_examined))
 
