@@ -269,9 +269,11 @@ def iter_thm31_chain(L: IntegerSet, R: IntegerSet, n: int, m: int,
     """Endless fringe-shift chain.
 
     Odd steps append the reflected fringe m + (k+1)n - R and are MSTD by
-    construction; each even step is searched for among the sets strictly
-    between consecutive odd steps and raises ChainBreakError when no
-    difference-dominated one exists (existence is not guaranteed).
+    construction under the strict conditions; in generalized mode each is
+    classified, and one that is not MSTD raises ChainBreakError. Each even
+    step is searched for among the sets strictly between consecutive odd
+    steps and raises ChainBreakError when no difference-dominated one
+    exists (existence is not guaranteed).
     """
     _sets("thm31_chain", L=L, R=R)
     current = thm31_base(L, R, n, m, mode)
@@ -283,6 +285,8 @@ def iter_thm31_chain(L: IntegerSet, R: IntegerSet, n: int, m: int,
         if even is None:
             raise ChainBreakError(2 * k)  # the even step of round k
         yield even
+        if mode == "generalized" and (got := classify(nxt)) != Classification.MSTD:
+            raise ChainBreakError(2 * k + 1, f"step {2 * k + 1} classifies {got.value}, not MSTD")
         yield nxt
         current = nxt
         k += 1

@@ -354,7 +354,8 @@ def thm31_base(L: IntegerSet, R: IntegerSet, n: int, m: int,
 
     Requires the fringe-pair conditions (strict or generalized), m >= n,
     and that the output's sumset covers [n+1, 2m+n-1] lacking at most one
-    element; the output then classifies MSTD.
+    element. The strict conditions then make the output MSTD; the
+    generalized ones do not always, and a base that is not MSTD is refused.
     """
     n, m = _integers("thm31_base", n=n, m=m)
     _sets("thm31_base", L=L, R=R)
@@ -371,7 +372,9 @@ def thm31_base(L: IntegerSet, R: IntegerSet, n: int, m: int,
         raise InvalidParameterError(
             f"thm31_base: m unsuitable, sumset misses {_describe(*gap)} in [n+1, 2m+n-1]"
         )
-    _require_classification(out, Classification.MSTD, "thm31_base")
+    got = classify(out)
+    if got != Classification.MSTD:
+        raise InvalidParameterError(f"thm31_base: the base classifies {got.value}, not MSTD")
     return out
 
 

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from typing import Optional
+
 
 class InvalidParameterError(ValueError):
     """An argument violates a documented precondition.
@@ -18,12 +20,13 @@ class ResourceLimitError(RuntimeError):
 
 
 class ChainBreakError(RuntimeError):
-    """No difference-dominated interposer exists at some chain step.
+    """A chain step of the wanted class does not exist.
 
-    The fringe-shift method only guarantees the sum-dominated steps; the
-    in-between step is found by search and may not exist.
+    The fringe-shift method only guarantees the sum-dominated steps, and
+    only under its strict conditions; the in-between step is found by
+    search and may not exist. Without a message, the step is that search's.
     """
 
-    def __init__(self, step_index: int):
+    def __init__(self, step_index: int, message: Optional[str] = None):
         self.step_index = step_index
-        super().__init__(f"no MDTS interposer found before step {step_index}")
+        super().__init__(message or f"no MDTS interposer found before step {step_index}")

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import chain, filterfalse
 from numbers import Integral
-from operator import index, neg, or_
+from operator import neg, or_
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ArithmeticRangeError, InvalidParameterError, ResourceLimitError
@@ -210,7 +210,7 @@ class IntegerSet:
     @classmethod
     def interval(cls, lo: int, hi: int) -> "IntegerSet":
         """The integers from ``lo`` to ``hi`` inclusive (empty if lo > hi)."""
-        lo, hi = index(lo), index(hi)
+        lo, hi = _integers("IntegerSet.interval", lo=lo, hi=hi)
         if lo > hi:
             return cls()
         if not (INT64_MIN <= lo and hi <= INT64_MAX):
@@ -293,6 +293,8 @@ class IntegerSet:
         return iter(self.elements)
 
     def __contains__(self, value: int) -> bool:
+        if type(value) is not int:
+            (value,) = _integers("IntegerSet.__contains__", value=value)
         if self._bits is not None:
             idx = value - self._offset
             return idx >= 0 and (self._bits >> idx) & 1 == 1
@@ -384,6 +386,7 @@ class IntegerSet:
 
     def contains_interval(self, lo: int, hi: int) -> bool:
         """True iff every integer in [lo, hi] is present (vacuous if lo > hi)."""
+        lo, hi = _integers("contains_interval", lo=lo, hi=hi)
         if lo > hi:
             return True
         if self.is_empty or lo < self.min or hi > self.max:
@@ -403,6 +406,7 @@ class IntegerSet:
         A lazy iterator: the first few gaps of a wide window cost a step per
         element below them, not a step per value of the window.
         """
+        lo, hi = _integers("missing_in_interval", lo=lo, hi=hi)
         els = self.elements
         prev = lo - 1
         for e in els[bisect_left(els, lo):bisect_right(els, hi)]:
@@ -556,7 +560,7 @@ def affine(a: IntegerSet, x: int, y: int) -> IntegerSet:
     cardinalities, so profiles carry over unchanged.
     """
     _sets("affine", a=a)
-    x, y = index(x), index(y)
+    x, y = _integers("affine", x=x, y=y)
     if x == 0:
         raise InvalidParameterError("affine: dilation factor x must be nonzero")
     if a.is_empty:

@@ -223,6 +223,21 @@ def test_thm31_generalized_runs():
         assert oracle_profile(step.set).classification == step.profile.classification
 
 
+def test_thm31_generalized_odd_steps_are_classified():
+    # the four generalized pairs at n = 7 whose base is MSTD, with the least
+    # admissible m: two run 21 steps, and two break at a balanced step 3
+    for L, R, m in [(THM31_GENERAL["L"], THM31_GENERAL["R"], THM31_GENERAL["m"]),
+                    ((0, 2, 3, 7), (0, 2, 3, 4, 7), 7)]:
+        record = thm31_chain(IntegerSet(L), IntegerSet(R), 7, m, 21, mode="generalized")
+        assert verify_chain(record).passed
+    for L, R, m in [((0, 1, 2, 4, 7), (0, 1, 3, 7), 8), ((0, 2, 3, 4, 7), (0, 2, 3, 7), 7)]:
+        with pytest.raises(ChainBreakError, match="step 3 classifies BALANCED") as info:
+            thm31_chain(IntegerSet(L), IntegerSet(R), 7, m, 3, mode="generalized")
+        assert info.value.step_index == 3
+        assert len(thm31_chain(IntegerSet(L), IntegerSet(R), 7, m, 2,
+                               mode="generalized").steps) == 2
+
+
 def test_thm31_rejects_failing_conditions():
     with pytest.raises(InvalidParameterError):
         thm31_chain(IntegerSet(THM31_GENERAL["L"]), IntegerSet(THM31_GENERAL["R"]),

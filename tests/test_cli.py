@@ -136,6 +136,27 @@ def test_chain_thm31_failed_conditions_stay_short(capsys):
     assert len(err.encode()) < 2048
 
 
+# generalized-mode fringes whose base, or whose step 3, is not MSTD
+THM31_GENERALIZED_REFUSALS = [
+    (["--L", "0,7", "--R", "0,7", "--n", "7", "--m", "13"],
+     2, "error: thm31_base: the base classifies BALANCED, not MSTD"),
+    (["--L", "2", "--R", "0,2", "--n", "2", "--m", "3"],
+     2, "error: thm31_base: the base classifies MDTS, not MSTD"),
+    (["--L", "0,1,2,4,7", "--R", "0,1,3,7", "--n", "7", "--m", "8"],
+     1, "chain break: step 3 classifies BALANCED, not MSTD"),
+    (["--L", "0,2,3,4,7", "--R", "0,2,3,7", "--n", "7", "--m", "7"],
+     1, "chain break: step 3 classifies BALANCED, not MSTD"),
+]
+
+
+@pytest.mark.parametrize("fringes, code, message", THM31_GENERALIZED_REFUSALS,
+                         ids=["base-balanced", "base-mdts", "step-3-m8", "step-3-m7"])
+def test_chain_thm31_generalized_refusals_are_named(capsys, fringes, code, message):
+    got = run(capsys, "chain", "--method", "thm31", "--mode", "generalized", *fringes,
+              "--steps", "3")
+    assert got == (code, "", message + "\n")
+
+
 def test_chain_thm31_too_wide_is_refused(capsys):
     # the filled interval [n, m] alone would be 10**8 elements
     code, _, err = run(capsys, "chain", "--method", "thm31",

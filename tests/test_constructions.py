@@ -476,3 +476,45 @@ def test_set_parameters_must_be_integer_sets(call, message):
     # a list has no is_empty, which used to surface as a bare AttributeError
     with pytest.raises(InvalidParameterError, match=f"^{message} must be an IntegerSet, not list"):
         call()
+
+
+# ---------------------------------------------------------------------------
+# every refused hypothesis names its clause
+# ---------------------------------------------------------------------------
+
+_B19 = IntegerSet(x for x in range(19) if x not in (9, 10))  # full hulls, two holes
+# full sumset [0, 48] but difference set missing +-17
+_B25 = IntegerSet([0, 1, 3, 4, *range(8, 17), 19, 22, 23, 24])
+_FILL2 = IntegerSet(FILL2_L), IntegerSet(FILL2_R)
+
+
+def _nathanson(m, B, lstar):
+    return lambda: NathansonParams(m=m, B=B, lstar=lstar, k=2).validate()
+
+
+@pytest.mark.parametrize("call, message", [
+    (_nathanson(3, IntegerSet([0, 1, 2]), IntegerSet([1])), "nathanson_mstd: m must be >= 4"),
+    (_nathanson(5, IntegerSet([0, 1, 3, 5]), IntegerSet([2])),
+     r"nathanson_mstd: B must lie inside \[0, m-1\]"),
+    (_nathanson(25, _B25, IntegerSet([5])), r"nathanson_mstd: B-B must equal"),
+    (_nathanson(5, IntegerSet([0, 1, 3, 4]), IntegerSet()), "nathanson_mstd: lstar must be nonempty"),
+    (_nathanson(19, _B19, IntegerSet([10])), r"nathanson_mstd: min\(lstar\) - 1 must be in B"),
+    (_nathanson(19, _B19, IntegerSet([9, 10])), r"nathanson_mstd: m must not be in lstar \+ lstar"),
+    (lambda: miller_mstd(*_FILL2, 0, 10, 1), "miller_mstd: n must be >= 1"),
+    (lambda: miller_mstd(IntegerSet([0, 3]), _FILL2[1], FILL2_N, 10, 1),
+     r"miller_mstd: L must be a nonempty subset of \[1, n\]"),
+    (lambda: miller_mstd(_FILL2[0], IntegerSet([5, 12]), FILL2_N, 10, 1),
+     r"miller_mstd: R must be a nonempty subset of \[n\+1, 2n\]"),
+    (lambda: miller_mstd(IntegerSet([1]), IntegerSet([20]), 10, 10, 1),
+     r"miller_mstd: L \| R must have complete hulls"),
+    (lambda: miller_mstd(*_FILL2, FILL2_N, 10, -1), "miller_mstd: m must be >= 0"),
+    (lambda: check_thm31_conditions(IntegerSet([0, 8]), IntegerSet([0, 8]), 8, mode="loose"),
+     "check_thm31_conditions: mode must be 'strict' or 'generalized'"),
+    (lambda: check_thm31_conditions(IntegerSet([0]), IntegerSet([0]), 0),
+     "check_thm31_conditions: n must be >= 1"),
+], ids=["nathanson-m", "nathanson-B-window", "nathanson-B-B", "nathanson-lstar-empty",
+        "nathanson-lstar-predecessor", "nathanson-lstar-sums", "fringe-n", "fringe-L",
+        "fringe-R", "fringe-hulls", "miller-m", "thm31-mode", "thm31-n"])
+def test_construction_refusals_name_their_clause(call, message):
+    with pytest.raises(InvalidParameterError, match=f"^{message}"):
+        call()

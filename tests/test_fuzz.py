@@ -93,3 +93,28 @@ def test_chain_file_commands_exit_0_1_or_2(data, command):
         with open(path, "wb") as handle:
             handle.write(data)
         assert _exit_code(*command, path) in (0, 1, 2)
+
+
+@st.composite
+def thm31_commands(draw):
+    """A thm31 chain command on fringes L, R inside [0, n] that hold n."""
+    n = draw(st.integers(1, 7))
+    fringes = st.sets(st.integers(0, n - 1)).map(lambda s: ",".join(map(str, sorted(s | {n}))))
+    mode = draw(st.sampled_from(["strict", "generalized"]))
+    return ["chain", "--method", "thm31", "--mode", mode, "--L", draw(fringes),
+            "--R", draw(fringes), "--n", str(n), "--m", str(draw(st.integers(n, 4 * n + 3))),
+            "--steps", str(draw(st.integers(1, 5)))]
+
+
+def _generalized(fringes):
+    return ["chain", "--method", "thm31", "--mode", "generalized", *fringes, "--steps", "3"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(thm31_commands())
+@example(_generalized(["--L", "0,7", "--R", "0,7", "--n", "7", "--m", "13"]))
+@example(_generalized(["--L", "2", "--R", "0,2", "--n", "2", "--m", "3"]))
+@example(_generalized(["--L", "0,1,2,4,7", "--R", "0,1,3,7", "--n", "7", "--m", "8"]))
+@example(_generalized(["--L", "0,2,3,4,7", "--R", "0,2,3,7", "--n", "7", "--m", "7"]))
+def test_thm31_chain_exits_0_1_or_2(argv):
+    assert _exit_code(*argv) in (0, 1, 2)

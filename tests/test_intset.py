@@ -440,3 +440,56 @@ def test_set_operations_match_python_sets(a_els, b_els, a_kind, b_kind, wide):
     assert a.issubset(b) == (a_els <= b_els)
     assert b.issubset(a) == (b_els <= a_els)
     assert a.ispropersubset(b) == (a_els < b_els)
+
+
+# ---------------------------------------------------------------------------
+# refusals, edge cases, and integer arguments of the set queries
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: IntegerSet.interval((1 << 63) - 1, 1 << 63), ArithmeticRangeError,
+     "interval endpoint outside signed 64-bit range"),
+    (lambda: IntegerSet().min, InvalidParameterError, "empty set has no minimum"),
+    (lambda: IntegerSet().max, InvalidParameterError, "empty set has no maximum"),
+    (lambda: affine(IntegerSet([1 << 62]), 2, 0), ArithmeticRangeError,
+     "affine image leaves signed 64-bit range"),
+], ids=["interval-range", "empty-min", "empty-max", "affine-range"])
+def test_intset_refusals_name_their_clause(call, error, message):
+    with pytest.raises(error, match=f"^{message}"):
+        call()
+
+
+def test_empty_and_out_of_window_answers():
+    assert IntegerSet.interval(3, 2).is_empty
+    assert affine(IntegerSet(), 2, 1).is_empty
+    assert symmetry_center(IntegerSet()) is None
+    a = IntegerSet([0, 1, 2])
+    assert a.contains_interval(5, 4)  # vacuous
+    assert not a.contains_interval(-1, 1) and not IntegerSet().contains_interval(0, 0)
+
+
+# one set, built from its elements and computed on bit-vectors; it spans
+# more than 64 values, so a numpy integer cannot stand in for an offset
+_QUERY_SETS = (IntegerSet([*range(4), *range(5, 101)]),
+               IntegerSet.interval(0, 100).difference(IntegerSet([4])))
+# each query, and the parameter its argument v goes to
+_QUERIES = {
+    "in": (lambda a, v: v in a, "value"),
+    "contains_interval": (lambda a, v: a.contains_interval(v, 5), "lo"),
+    "missing_in_interval": (lambda a, v: list(a.missing_in_interval(2, v)), "hi"),
+    "interval": (lambda a, v: IntegerSet.interval(v, 5), "lo"),
+    "affine": (lambda a, v: affine(a, v, 0), "x"),
+    "shift": (lambda a, v: a.shift(v), "y"),
+}
+
+
+@pytest.mark.parametrize("query", list(_QUERIES))
+def test_set_queries_read_their_arguments_strictly(query):
+    ask, name = _QUERIES[query]
+    answers = [ask(a, 3) for a in _QUERY_SETS]
+    assert answers[0] == answers[1]
+    for a in _QUERY_SETS:
+        assert ask(a, np.int64(3)) == answers[0]
+        for bad in (True, 2.5, "3"):
+            with pytest.raises(InvalidParameterError, match=f": {name} must be an integer"):
+                ask(a, bad)

@@ -1,6 +1,6 @@
 """Rules on the package source: which modules may import numpy and the kernels,
-that only ``intset`` reads ``IntegerSet``'s representation, and no ``assert``
-statements."""
+that only ``intset`` reads ``IntegerSet``'s representation, no ``assert``
+statements, and which functions may raise ``AssertionError``."""
 
 import ast
 
@@ -49,3 +49,34 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+# An AssertionError marks a bug: a rule check on theorem-backed output, or a
+# fixed-formula construction's identity. A refused input raises a named error.
+_ASSERTING = {"chains._assemble", "constructions._require_classification",
+              "constructions.interval_minus_point", "constructions.mdts_interval_plus_point",
+              "constructions.nonfill_explicit_mstd", "constructions.nonfill_explicit_mdts"}
+
+
+def _raises_assertion(func) -> bool:
+    """Whether ``func``'s own body, outside nested functions, raises AssertionError."""
+    todo = list(func.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                return True
+        todo.extend(ast.iter_child_nodes(node))
+    return False
+
+
+def test_only_bug_checks_raise_assertion_error():
+    found = {f"{path.stem}.{node.name}"
+             for path in sorted((REPO / "src" / "mstd_chains").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and _raises_assertion(node)}
+    assert found == _ASSERTING

@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from mstd_chains import (GOLDEN_TABLES, IntegerSet, InvalidParameterError,
-                         chain_from_json, chain_to_json, compare_to_golden,
-                         emit_growth_summary, emit_table, fill1_chain,
-                         fill2_chain, growth_rows, nonfill_chain)
+from mstd_chains import (GOLDEN_TABLES, ChainRecord, Classification, IntegerSet,
+                         InvalidParameterError, MethodGrowth, chain_from_json,
+                         chain_to_json, compare_to_golden, emit_growth_summary,
+                         emit_table, fill1_chain, fill2_chain, growth_rows,
+                         nonfill_chain)
 from mstd_chains.rounding import format3, round3, round3_float
 
 from .conftest import FILL2_L, FILL2_N, FILL2_R
@@ -167,3 +168,29 @@ def test_golden_tables_shape():
     for rows in GOLDEN_TABLES.values():
         assert len(rows) == 7
         assert all(len(r) == 7 for r in rows)
+
+
+# ---------------------------------------------------------------------------
+# refusals and fallbacks
+# ---------------------------------------------------------------------------
+
+def _all_mdts(record):
+    """``record`` untagged, with every step's stored class set to MDTS."""
+    steps = tuple(replace(s, profile=replace(s.profile, classification=Classification.MDTS))
+                  for s in record.steps)
+    return ChainRecord(method=None, steps=steps)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: emit_table(ChainRecord(method=None, steps=())), "emit_table: chain is empty"),
+    (lambda: growth_rows([_all_mdts(nonfill_chain(5))]),
+     "growth summary: need >= 3 MSTD steps"),
+], ids=["empty-chain", "few-mstd-steps"])
+def test_report_refusals_name_their_clause(call, message):
+    with pytest.raises(InvalidParameterError, match=f"^{message}"):
+        call()
+
+
+def test_footer_and_rates_without_a_value():
+    assert emit_table(_all_mdts(nonfill_chain(3))).endswith("Limiting MSTD density: N/A\n")
+    assert MethodGrowth("x", 1, 1, "Irregular").rate_cells() == ("?", "?")

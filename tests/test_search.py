@@ -315,6 +315,16 @@ def test_largest_card_three_scan_builds_a_small_task_list(monkeypatch):
     assert peak < 8 << 20, peak
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: min_cardinality_scan(10, 0), r"min_cardinality_scan: d_max >= 0 and card_max >= 1"),
+    (lambda: min_cardinality_scan(-1, 3), r"min_cardinality_scan: d_max >= 0 and card_max >= 1"),
+    (lambda: find_fill2_seeds(0), "find_fill2_seeds: n must be >= 1"),
+], ids=["card-max", "card-d-max", "seeds-n"])
+def test_search_refusals_name_their_clause(call, message):
+    with pytest.raises(InvalidParameterError, match=f"^{message}"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # random sampling
 # ---------------------------------------------------------------------------
@@ -806,13 +816,16 @@ def test_pinned_landscape_counts():
             report.balanced_count) == (190051, 0, 189046, 1005)
 
 
-def test_search_reports_match_golden_file():
+def test_search_reports_match_golden_file(monkeypatch):
     # cardinality scans past d = 31 take the big-integer path, which no
     # other test pins; the sampling reports pin each chunk's draw and the
-    # bit-sliced counts at n = 30, 40 and 200
+    # bit-sliced counts at n = 30, 40 and 200; the d = 18 scan is two tasks
+    # and the n = 30 sample three chunks, so both run in the pool
+    seen = _pool_starts(monkeypatch)
     reports = {
         "exhaustive_by_diameter(16)": exhaustive_by_diameter(16),
         "exhaustive_by_diameter(16, workers=2)": exhaustive_by_diameter(16, workers=2),
+        "exhaustive_by_diameter(18, workers=2)": exhaustive_by_diameter(18, workers=2),
         "min_cardinality_scan(20, 8)": min_cardinality_scan(20, 8),
         "min_cardinality_scan(34, 5)": min_cardinality_scan(34, 5),
         "min_cardinality_scan(40, 4)": min_cardinality_scan(40, 4),
@@ -821,6 +834,7 @@ def test_search_reports_match_golden_file():
             sample_mstd_proportion(30, 9000, 3, workers=2),
         "sample_mstd_proportion(200, 3000, 11)": sample_mstd_proportion(200, 3000, 11),
     }
+    assert seen == [2, 2]
     text = json.dumps({k: r.to_json() for k, r in reports.items()}, indent=1, sort_keys=True)
     assert text + "\n" == (REPO / "tests" / "data" / "search_reports.json").read_text()
 
