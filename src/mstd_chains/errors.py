@@ -1,7 +1,5 @@
 """Exception types shared across the package."""
 
-from typing import Optional
-
 
 class InvalidParameterError(ValueError):
     """An argument violates a documented precondition.
@@ -27,6 +25,6 @@ class ChainBreakError(RuntimeError):
     search and may not exist. Without a message, the step is that search's.
     """
 
-    def __init__(self, step_index: int, message: Optional[str] = None):
+    def __init__(self, step_index: int, message: str = ""):
         self.step_index = step_index
         super().__init__(message or f"no MDTS interposer found before step {step_index}")
