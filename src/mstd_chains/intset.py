@@ -404,15 +404,14 @@ class IntegerSet:
         """The integers in [lo, hi] that are not elements, ascending.
 
         A lazy iterator: the first few gaps of a wide window cost a step per
-        element below them, not a step per value of the window.
+        element below them, not a step per value of the window. Its
+        arguments are checked at the call.
         """
         lo, hi = _integers("missing_in_interval", lo=lo, hi=hi)
         els = self.elements
-        prev = lo - 1
-        for e in els[bisect_left(els, lo):bisect_right(els, hi)]:
-            yield from range(prev + 1, e)
-            prev = e
-        yield from range(prev + 1, hi + 1)
+        # the gaps run between consecutive bounds: lo - 1, the elements inside, hi + 1
+        bounds = (lo - 1, *els[bisect_left(els, lo):bisect_right(els, hi)], hi + 1)
+        return chain.from_iterable(map(range, (b + 1 for b in bounds), bounds[1:]))
 
     def shift(self, y: int) -> "IntegerSet":
         """Translate every element by ``y``."""

@@ -453,7 +453,9 @@ def test_set_operations_match_python_sets(a_els, b_els, a_kind, b_kind, wide):
     (lambda: IntegerSet().max, InvalidParameterError, "empty set has no maximum"),
     (lambda: affine(IntegerSet([1 << 62]), 2, 0), ArithmeticRangeError,
      "affine image leaves signed 64-bit range"),
-], ids=["interval-range", "empty-min", "empty-max", "affine-range"])
+    (lambda: IntegerSet([1]).missing_in_interval(0, 2.5), InvalidParameterError,
+     "missing_in_interval: hi must be an integer"),
+], ids=["interval-range", "empty-min", "empty-max", "affine-range", "missing-at-the-call"])
 def test_intset_refusals_name_their_clause(call, error, message):
     with pytest.raises(error, match=f"^{message}"):
         call()
