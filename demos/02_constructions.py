@@ -5,11 +5,10 @@ only guaranteed inside them) and re-checks its advertised postcondition on
 the way out.
 """
 
-from mstd_chains import (IntegerSet, InvalidParameterError, NathansonParams,
-                         check_thm31_conditions, interval_minus_point,
-                         mdts_interval_plus_point, miller_mstd, nathanson_mstd,
-                         nonfill_explicit_mdts, nonfill_explicit_mstd, profile,
-                         thm31_base)
+from mstd_chains import (IntegerSet, InvalidParameterError, check_thm31_conditions,
+                         interval_minus_point, mdts_interval_plus_point,
+                         miller_mstd, nathanson_mstd, nonfill_explicit_mdts,
+                         nonfill_explicit_mstd, profile, thm31_base)
 
 
 def show(label, a):
@@ -25,8 +24,7 @@ show("  profile", b)
 print()
 
 # Base-and-mirror MSTD construction on top of such a B.
-params = NathansonParams(m=19, B=b, lstar=IntegerSet([16]), k=2)
-a3 = nathanson_mstd(params)
+a3 = nathanson_mstd(19, b, IntegerSet([16]), 2)
 show("base+ladder+mirror", a3)
 print("  ladder {22, 41} and apex 63:", IntegerSet([22, 41]).issubset(a3), a3.max)
 print()

@@ -12,10 +12,10 @@ from .chains import (ChainRecord, ChainStep, VerificationReport, chain_from_json
                      chain_to_json, fill1_chain, fill2_chain, iter_fill1_chain,
                      iter_fill2_chain, iter_nonfill_chain, iter_thm31_chain,
                      nonfill_chain, thm31_chain, verify_chain)
-from .constructions import (ConditionReport, NathansonParams,
-                            check_thm31_conditions, from_config,
-                            interval_minus_point, mdts_interval_plus_point,
-                            miller_mstd, nathanson_mstd, nonfill_explicit_mdts,
+from .constructions import (ConditionReport, check_thm31_conditions,
+                            from_config, interval_minus_point,
+                            mdts_interval_plus_point, miller_mstd,
+                            nathanson_mstd, nonfill_explicit_mdts,
                             nonfill_explicit_mstd, thm31_base)
 from .errors import (ArithmeticRangeError, ChainBreakError,
                      InvalidParameterError, ResourceLimitError)

@@ -24,51 +24,10 @@ from .intset import (Classification, IntegerSet, _integers, _sets, affine,
                      classify, diffset, is_pn, sumset)
 
 
-@dataclass(frozen=True)
-class NathansonParams:
-    """Inputs for the interval-with-hole MSTD construction.
-
-    ``B`` must be a subset of [0, m-1] whose sumset is the full interval
-    [0, 2m-2] and whose difference set is [-(m-1), m-1]; ``lstar`` is a
-    nonempty set inside the complement of B with its predecessor in B, and
-    m must not be a sum of two lstar elements; k >= 2 controls the ladder
-    length. m and k are integers.
-    """
-
-    m: int
-    B: IntegerSet
-    lstar: IntegerSet
-    k: int
-
-    def validate(self) -> None:
-        m, k = _integers("nathanson_mstd", m=self.m, k=self.k)
-        _sets("nathanson_mstd", B=self.B, lstar=self.lstar)
-        if m < 4:
-            raise InvalidParameterError("nathanson_mstd: m must be >= 4")
-        if k < 2:
-            raise InvalidParameterError("nathanson_mstd: k must be >= 2")
-        B = self.B
-        if B.is_empty or not (0 <= B.min and B.max <= m - 1):
-            raise InvalidParameterError("nathanson_mstd: B must lie inside [0, m-1]")
-        if sumset(B) != IntegerSet.interval(0, 2 * m - 2):
-            raise InvalidParameterError("nathanson_mstd: B+B must equal [0, 2m-2]")
-        if diffset(B) != IntegerSet.interval(-(m - 1), m - 1):
-            raise InvalidParameterError("nathanson_mstd: B-B must equal [-(m-1), m-1]")
-        lstar = self.lstar
-        if lstar.is_empty:
-            raise InvalidParameterError("nathanson_mstd: lstar must be nonempty")
-        if not (0 <= lstar.min and lstar.max <= m - 1) or not lstar.intersection(B).is_empty:
-            raise InvalidParameterError("nathanson_mstd: lstar must lie inside [0, m-1] \\ B")
-        if (lstar.min - 1) not in B:
-            raise InvalidParameterError("nathanson_mstd: min(lstar) - 1 must be in B")
-        if m in sumset(lstar):
-            raise InvalidParameterError("nathanson_mstd: m must not be in lstar + lstar")
-
-
-def _require_classification(a: IntegerSet, want: Classification, who: str) -> None:
+def _require_classification(a: IntegerSet, who: str) -> None:
     got = classify(a)
-    if got != want:
-        raise AssertionError(f"{who}: output classifies {got.value}, expected {want.value}")
+    if got != Classification.MSTD:
+        raise AssertionError(f"{who}: output classifies {got.value}, expected MSTD")
 
 
 def _hole_interval(m: int, r: int) -> IntegerSet:
@@ -102,16 +61,41 @@ def _nathanson_set(m: int, B: IntegerSet, lstar: IntegerSet, k: int) -> IntegerS
     return B.union(ladder, affine(B, -1, c), IntegerSet([m]))
 
 
-def nathanson_mstd(params: NathansonParams) -> IntegerSet:
+def nathanson_mstd(m: int, B: IntegerSet, lstar: IntegerSet, k: int) -> IntegerSet:
     """MSTD set built from an interval-like base, a ladder, and a mirror.
+
+    ``B`` must be a subset of [0, m-1] whose sumset is the full interval
+    [0, 2m-2] and whose difference set is [-(m-1), m-1]; ``lstar`` is a
+    nonempty set inside the complement of B with its predecessor in B, and
+    m must not be a sum of two lstar elements; k >= 2 controls the ladder
+    length. m and k are integers.
 
     The ladder is (m - lstar) + m*[1, k]; the mirror is c - B where
     c = (k+3)m - min(lstar) - max(lstar) is the sum of the ladder extremes.
     The output is B, ladder, mirror, and the point m, together.
     """
-    params.validate()
-    out = _nathanson_set(int(params.m), params.B, params.lstar, int(params.k))
-    _require_classification(out, Classification.MSTD, "nathanson_mstd")
+    m, k = _integers("nathanson_mstd", m=m, k=k)
+    _sets("nathanson_mstd", B=B, lstar=lstar)
+    if m < 4:
+        raise InvalidParameterError("nathanson_mstd: m must be >= 4")
+    if k < 2:
+        raise InvalidParameterError("nathanson_mstd: k must be >= 2")
+    if B.is_empty or not (0 <= B.min and B.max <= m - 1):
+        raise InvalidParameterError("nathanson_mstd: B must lie inside [0, m-1]")
+    if sumset(B) != IntegerSet.interval(0, 2 * m - 2):
+        raise InvalidParameterError("nathanson_mstd: B+B must equal [0, 2m-2]")
+    if diffset(B) != IntegerSet.interval(-(m - 1), m - 1):
+        raise InvalidParameterError("nathanson_mstd: B-B must equal [-(m-1), m-1]")
+    if lstar.is_empty:
+        raise InvalidParameterError("nathanson_mstd: lstar must be nonempty")
+    if not (0 <= lstar.min and lstar.max <= m - 1) or not lstar.intersection(B).is_empty:
+        raise InvalidParameterError("nathanson_mstd: lstar must lie inside [0, m-1] \\ B")
+    if (lstar.min - 1) not in B:
+        raise InvalidParameterError("nathanson_mstd: min(lstar) - 1 must be in B")
+    if m in sumset(lstar):
+        raise InvalidParameterError("nathanson_mstd: m must not be in lstar + lstar")
+    out = _nathanson_set(m, B, lstar, k)
+    _require_classification(out, "nathanson_mstd")
     return out
 
 
@@ -209,7 +193,7 @@ def miller_mstd(L: IntegerSet, R: IntegerSet, n: int, k: int, m: int,
         IntegerSet.interval(n + k + m + 1, n + 2 * k + m),
         R.shift(2 * k + m),
     )
-    _require_classification(out, Classification.MSTD, "miller_mstd")
+    _require_classification(out, "miller_mstd")
     return out
 
 
@@ -393,8 +377,7 @@ def from_config(config: dict) -> IntegerSet:
     if kind == "interval_minus_point":
         return interval_minus_point(cfg["m"], cfg["r"])
     if kind == "nathanson_mstd":
-        return nathanson_mstd(NathansonParams(m=cfg["m"], B=IntegerSet(cfg["B"]),
-                                              lstar=IntegerSet(cfg["lstar"]), k=cfg["k"]))
+        return nathanson_mstd(cfg["m"], IntegerSet(cfg["B"]), IntegerSet(cfg["lstar"]), cfg["k"])
     if kind == "mdts_interval_plus_point":
         return mdts_interval_plus_point(cfg["m"], cfg["p"])[0]
     if kind == "miller_mstd":

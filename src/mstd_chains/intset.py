@@ -8,12 +8,13 @@ by OR-ing shifted copies of the bit-vector, one shift range per maximal
 run of consecutive elements, so both sparse sets and the dense
 interval-plus-fringe sets this package generates stay cheap. Union,
 difference, intersection and the subset test work on aligned bit-vectors
-while those stay small, and on Python sets otherwise.
+while the joint window is dense, at any width, and on Python sets otherwise.
 
 Sets wider than ``DENSE_DIAMETER_LIMIT`` fall back to pairwise sums and
 differences of their elements, as Python integers, instead of allocating
-an enormous bit-vector. That fallback lists every pair within a 1 GiB
-byte budget: it refuses sets of 4096 elements or more with
+an enormous bit-vector. That fallback and set algebra on Python sets list
+values within one 1 GiB byte budget: they refuse sets of 4096 elements or
+more, and operands of over 2**23 elements in all, with
 ``ResourceLimitError`` before allocating anything. Nothing here needs numpy.
 """
 
@@ -35,19 +36,21 @@ from .errors import ArithmeticRangeError, InvalidParameterError, ResourceLimitEr
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
 
-# Widest window (in values) the bit-vector path will allocate: 2**26 bits
-# is an 8 MiB integer, and sum/difference vectors are about twice that.
+# Widest window (in values) the run-smear sumset and difference set will
+# allocate: 2**26 bits is an 8 MiB integer, and their vectors twice that.
 DENSE_DIAMETER_LIMIT = 1 << 26
 
-# Set algebra uses bit-vectors while the joint window has at most this
+# Set algebra uses bit-vectors while the joint window has fewer than this
 # many positions per element; sparser operands go through Python sets,
 # whose cost does not grow with the window.
 _ALGEBRA_BITS_PER_ELEMENT = 16
 
-# Most bytes the pairwise fallback may hold for one set (4095 elements).
-# Each of the k(k + 1) / 2 pairs it lists costs at most _PAIR_BYTES at the
+# Most bytes a Python-int fallback may hold: the pairwise one for one set
+# (4095 elements), or set algebra for its operands (2**23 elements).
+# Each of the k(k + 1) / 2 pairs listed costs at most _PAIR_BYTES at the
 # peak: a list slot and an int object, then a dict entry and a tuple slot
-# (under tracemalloc at most 113 bytes, for ints near 2**63).
+# (under tracemalloc at most 113 bytes, for ints near 2**63); set algebra
+# holds at most about 90 bytes per operand element.
 _WIDE_BYTE_LIMIT = 1 << 30
 _PAIR_BYTES = 128
 
@@ -215,8 +218,8 @@ class IntegerSet:
             return cls()
         if not (INT64_MIN <= lo and hi <= INT64_MAX):
             raise ArithmeticRangeError("interval endpoint outside signed 64-bit range")
-        # a wider interval would leave the bit-vector path, and its pairs
-        # would exceed the fallback's budget
+        # a wider interval's sumset would leave the bit-vector path, and its
+        # pairs would exceed the fallback's budget
         if hi - lo > DENSE_DIAMETER_LIMIT:
             raise ResourceLimitError(
                 f"interval of more than {DENSE_DIAMETER_LIMIT + 1} elements")
@@ -339,7 +342,7 @@ class IntegerSet:
         sets = [s for s in (self, *others) if not s.is_empty]
         if len(sets) < 2:
             return sets[0] if sets else IntegerSet()
-        aligned = _aligned(sets)
+        aligned = _aligned(sets, "union")
         if aligned is not None:
             words, offset = aligned
             return IntegerSet._from_bits(reduce(or_, words), offset)
@@ -348,7 +351,7 @@ class IntegerSet:
     def difference(self, other: "IntegerSet") -> "IntegerSet":
         if not self._overlaps(other):
             return self
-        aligned = _aligned((self, other))
+        aligned = _aligned((self, other), "difference")
         if aligned is not None:
             (mine, theirs), offset = aligned
             return IntegerSet._from_bits(mine & ~theirs, offset)
@@ -358,7 +361,7 @@ class IntegerSet:
     def intersection(self, other: "IntegerSet") -> "IntegerSet":
         if not self._overlaps(other):
             return IntegerSet()
-        aligned = _aligned((self, other))
+        aligned = _aligned((self, other), "intersection")
         if aligned is not None:
             (mine, theirs), offset = aligned
             return IntegerSet._from_bits(mine & theirs, offset)
@@ -375,7 +378,7 @@ class IntegerSet:
             return True
         if len(self) > len(other) or self.min < other.min or self.max > other.max:
             return False
-        aligned = _aligned((self, other))
+        aligned = _aligned((self, other), "issubset")
         if aligned is not None:
             (mine, theirs), _ = aligned
             return mine & ~theirs == 0
@@ -441,20 +444,19 @@ class IntegerSet:
         return [(offset + first, offset + last) for first, last in _bit_runs(self._bits)]
 
 
-def _aligned(sets: Sequence[IntegerSet]) -> Optional[tuple[list[int], int]]:
+def _aligned(sets: Sequence[IntegerSet], op: str) -> Optional[tuple[list[int], int]]:
     """The bit-vectors of nonempty ``sets`` shifted to one shared offset.
 
     None when no operand has its bit-vector yet (sets built from elements
-    are then cheapest to combine as sets), or when the window is wider
-    than ``DENSE_DIAMETER_LIMIT`` or holds more than
-    ``_ALGEBRA_BITS_PER_ELEMENT`` positions per element.
+    are then cheapest to combine as sets), or when the window holds
+    ``_ALGEBRA_BITS_PER_ELEMENT`` or more positions per element, at any
+    width. Operation ``op`` then lists every element as a Python int, so
+    that is first checked against the budget.
     """
-    if all(s._bits is None for s in sets):
-        return None
-    lo = min(s.min for s in sets)
-    diameter = max(s.max for s in sets) - lo
-    if (diameter > DENSE_DIAMETER_LIMIT
-            or diameter >= _ALGEBRA_BITS_PER_ELEMENT * sum(map(len, sets))):
+    lo, total = min(s.min for s in sets), sum(map(len, sets))
+    if (all(s._bits is None for s in sets)
+            or max(s.max for s in sets) - lo >= _ALGEBRA_BITS_PER_ELEMENT * total):
+        _check_listing_budget(op, total, f"listing {total} elements")
         return None
     return [bits << (offset - lo) for bits, offset in (s._bitvector() for s in sets)], lo
 
@@ -493,12 +495,17 @@ def _require_nonempty(a: IntegerSet, op: str) -> None:
         raise InvalidParameterError(f"{op}: set must be nonempty")
 
 
+def _check_listing_budget(op: str, values: int, what: str) -> None:
+    """Refuse a Python-int fallback that would list ``values`` ints, before it
+    lists any; ``what`` says what they are."""
+    if _PAIR_BYTES * values > _WIDE_BYTE_LIMIT:
+        raise ResourceLimitError(f"{op}: {what} would need more than {_WIDE_BYTE_LIMIT} bytes")
+
+
 def _check_pair_budget(a: IntegerSet, op: str) -> None:
     k = len(a)
-    if _PAIR_BYTES * k * (k + 1) // 2 > _WIDE_BYTE_LIMIT:
-        raise ResourceLimitError(
-            f"{op}: {k} elements over a diameter above {DENSE_DIAMETER_LIMIT} "
-            f"would need more than {_WIDE_BYTE_LIMIT} bytes")
+    _check_listing_budget(op, k * (k + 1) // 2,
+                          f"{k} elements over a diameter above {DENSE_DIAMETER_LIMIT}")
 
 
 def _pair_values(els: Sequence[int], subtract: bool) -> tuple[int, ...]:

@@ -7,7 +7,7 @@ import pytest
 
 from mstd_chains import (ChainBreakError, ChainRecord, ChainStep,
                          Classification, IntegerSet, InvalidParameterError,
-                         NathansonParams, chain_from_json, chain_to_json,
+                         chain_from_json, chain_to_json,
                          fill1_chain, fill2_chain, interval_minus_point,
                          mdts_interval_plus_point, miller_mstd, nathanson_mstd,
                          nonfill_chain, nonfill_explicit_mstd, oracle_profile,
@@ -96,8 +96,7 @@ def test_fill1_steps_equal_the_checked_constructions(conway):
             want = mdts_interval_plus_point(top, top + 3 - top % 2)[0]
         else:  # MSTD: the interval [0, top + 1] with its hole at top - 1
             n = top + 2
-            want = nathanson_mstd(NathansonParams(m=n, B=interval_minus_point(n, n - 3),
-                                                  lstar=IntegerSet([n - 3]), k=2))
+            want = nathanson_mstd(n, interval_minus_point(n, n - 3), IntegerSet([n - 3]), 2)
         assert steps[i] == want, i + 1
 
 

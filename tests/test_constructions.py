@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mstd_chains import (Classification, ConditionReport, IntegerSet,
-                         InvalidParameterError, NathansonParams, affine,
+                         InvalidParameterError, affine,
                          check_thm31_conditions, classify, diffset,
                          fill1_chain, fill2_chain, from_config,
                          interval_minus_point, is_pn, mdts_interval_plus_point,
@@ -60,9 +60,7 @@ def test_interval_minus_point_hulls_small_sweep():
 # ---------------------------------------------------------------------------
 
 def test_nathanson_reference_parameters():
-    params = NathansonParams(m=19, B=interval_minus_point(19, 16),
-                             lstar=IntegerSet([16]), k=2)
-    a = nathanson_mstd(params)
+    a = nathanson_mstd(19, interval_minus_point(19, 16), IntegerSet([16]), 2)
     assert IntegerSet([22, 41]).issubset(a)      # the ladder
     assert a.max == 63                            # the mirror apex
     assert (len(a), a.diameter) == (39, 63)
@@ -71,33 +69,26 @@ def test_nathanson_reference_parameters():
 
 
 def test_nathanson_small_parameters():
-    params = NathansonParams(m=5, B=IntegerSet([0, 1, 3, 4]),
-                             lstar=IntegerSet([2]), k=2)
-    a = nathanson_mstd(params)
+    a = nathanson_mstd(5, IntegerSet([0, 1, 3, 4]), IntegerSet([2]), 2)
     assert a.to_list() == [0, 1, 3, 4, 5, 8, 13, 17, 18, 20, 21]
     assert len(naive_sums(a)) > len(naive_diffs(a))
 
 
 def test_nathanson_rejects_small_k():
-    params = NathansonParams(m=19, B=interval_minus_point(19, 16),
-                             lstar=IntegerSet([16]), k=1)
     with pytest.raises(InvalidParameterError, match="k"):
-        nathanson_mstd(params)
+        nathanson_mstd(19, interval_minus_point(19, 16), IntegerSet([16]), 1)
     for m, k in [(19.0, 2), (19, 2.0), (19, True), ("19", 2)]:
         with pytest.raises(InvalidParameterError, match="must be an integer"):
-            nathanson_mstd(NathansonParams(m=m, B=interval_minus_point(19, 16),
-                                           lstar=IntegerSet([16]), k=k))
-    assert nathanson_mstd(NathansonParams(m=np.int64(19), B=interval_minus_point(19, 16),
-                                          lstar=IntegerSet([16]), k=np.int8(2))).max == 63
+            nathanson_mstd(m, interval_minus_point(19, 16), IntegerSet([16]), k)
+    assert nathanson_mstd(np.int64(19), interval_minus_point(19, 16),
+                          IntegerSet([16]), np.int8(2)).max == 63
 
 
 def test_nathanson_names_failed_clause():
     with pytest.raises(InvalidParameterError, match="B\\+B"):
-        nathanson_mstd(NathansonParams(m=6, B=IntegerSet([0, 5]),
-                                       lstar=IntegerSet([2]), k=2))
+        nathanson_mstd(6, IntegerSet([0, 5]), IntegerSet([2]), 2)
     with pytest.raises(InvalidParameterError, match="lstar"):
-        nathanson_mstd(NathansonParams(m=5, B=IntegerSet([0, 1, 3, 4]),
-                                       lstar=IntegerSet([3]), k=2))
+        nathanson_mstd(5, IntegerSet([0, 1, 3, 4]), IntegerSet([3]), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +424,13 @@ def test_from_config_dispatch():
                      "L": list(THM31_STRICT["L"]), "R": list(THM31_STRICT["R"]),
                      "n": 8, "m": 10})
     assert d == nonfill_explicit_mstd(1)
+    e = from_config({"construction": "miller_mstd", "L": list(FILL2_L),
+                     "R": list(FILL2_R), "n": FILL2_N, "k": 10, "m": 1})
+    assert e == miller_mstd(IntegerSet(FILL2_L), IntegerSet(FILL2_R), FILL2_N, 10, 1)
+    f = from_config({"construction": "nonfill_explicit_mstd", "l": 2})
+    assert f == nonfill_explicit_mstd(2)
+    g = from_config({"construction": "nonfill_explicit_mdts", "l": 2})
+    assert g == nonfill_explicit_mdts(2)
 
 
 def test_from_config_unknown():
@@ -458,10 +456,8 @@ _B = IntegerSet([0, 1, 3, 4])
     (lambda: symmetry_center(_LIST), "symmetry_center: a"),
     (lambda: affine(_LIST, 1, 0), "affine: a"),
     (lambda: is_pn(_LIST, 0), "is_pn: a"),
-    (lambda: NathansonParams(m=5, B=_LIST, lstar=IntegerSet([2]), k=2).validate(),
-     "nathanson_mstd: B"),
-    (lambda: nathanson_mstd(NathansonParams(m=5, B=_B, lstar=_LIST, k=2)),
-     "nathanson_mstd: lstar"),
+    (lambda: nathanson_mstd(5, _LIST, IntegerSet([2]), 2), "nathanson_mstd: B"),
+    (lambda: nathanson_mstd(5, _B, _LIST, 2), "nathanson_mstd: lstar"),
     (lambda: miller_mstd(_LIST, IntegerSet(FILL2_R), FILL2_N, 10, 1), "miller_mstd: L"),
     (lambda: miller_mstd(IntegerSet(FILL2_L), IntegerSet(FILL2_R), FILL2_N, 10, 1, _LIST),
      "miller_mstd: middle"),
@@ -489,7 +485,7 @@ _FILL2 = IntegerSet(FILL2_L), IntegerSet(FILL2_R)
 
 
 def _nathanson(m, B, lstar):
-    return lambda: NathansonParams(m=m, B=B, lstar=lstar, k=2).validate()
+    return lambda: nathanson_mstd(m, B, lstar, 2)
 
 
 @pytest.mark.parametrize("call, message", [

@@ -334,7 +334,21 @@ def test_wide_fallback_refuses_before_allocating(monkeypatch):
             op(wide)
     with pytest.raises(ResourceLimitError):
         IntegerSet.interval(0, DENSE_DIAMETER_LIMIT + 1)
+    # a sparse window sends set algebra to Python sets, which list every
+    # element: the same budget refuses that before the first is listed
+    far = IntegerSet([2 ** 40])
+    for n in (10 ** 7, 4 * 10 ** 7):
+        dense = IntegerSet.interval(0, n)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match=f"^union: listing {n + 2} elements"):
+                dense.union(far)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
     assert time.perf_counter() - start < 1.0
+    assert len(IntegerSet.interval(0, 10 ** 6).union(far)) == 1_000_002
     # the budget counts the bytes of k(k + 1) / 2 pairs: a set right at it still runs
     monkeypatch.setattr(intset, "_WIDE_BYTE_LIMIT", intset._PAIR_BYTES * 55)
     edge = IntegerSet(list(range(9)) + [10 ** 12])
@@ -373,6 +387,36 @@ def test_wide_fallback_budget_bounds_its_bytes():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 16
+
+
+def _bits_only(els) -> IntegerSet:
+    """A set holding only its bit-vector, with no element tuple."""
+    bits, offset = IntegerSet(els)._bitvector()
+    return IntegerSet._from_bits(bits, offset)
+
+
+def test_set_algebra_takes_bit_vectors_past_the_width_cap(monkeypatch):
+    from mstd_chains import intset
+
+    # the width cap bounds the run-smear kernels only: dense operands whose
+    # joint window is wider still combine as bit-vectors
+    monkeypatch.setattr(intset, "DENSE_DIAMETER_LIMIT", 1 << 12)
+    a_els, b_els = set(range(0, 6000, 2)) | {9001}, set(range(3000, 9000, 3))
+    a, b = _bits_only(a_els), _bits_only(b_els)
+    assert max(a_els | b_els) - min(a_els | b_els) > intset.DENSE_DIAMETER_LIMIT
+    results = [(a.union(b), a_els | b_els), (a.difference(b), a_els - b_els),
+               (b.difference(a), b_els - a_els), (a.intersection(b), a_els & b_els)]
+    assert a.issubset(a.union(b)) and not a.issubset(b)
+    assert a._els is None and b._els is None
+    for got, want in results:
+        assert got._els is None
+        assert got.to_list() == sorted(want)
+
+
+def test_empty_bit_vector_set_equals_the_empty_set():
+    empty = IntegerSet.interval(0, 5).difference(IntegerSet.interval(0, 5))
+    assert empty._els is None
+    assert empty == IntegerSet() and IntegerSet() == empty
 
 
 def test_dense_sparse_boundary_agreement():

@@ -1,6 +1,7 @@
 """Rules on the package source: which modules may import numpy and the kernels,
 that only ``intset`` reads ``IntegerSet``'s representation, no ``assert``
-statements, and which functions may raise ``AssertionError``."""
+statements, which functions may raise ``AssertionError``, and which read
+the run-smear width cap."""
 
 import ast
 
@@ -80,3 +81,29 @@ def test_only_bug_checks_raise_assertion_error():
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
              and _raises_assertion(node)}
     assert found == _ASSERTING
+
+
+# The width cap bounds the run-smear sumset and difference set (and so the
+# intervals that feed them); set algebra chooses bit-vectors by density.
+_READS_WIDTH_CAP = {"intset.IntegerSet.interval", "intset.sumset", "intset.diffset",
+                    "intset._check_pair_budget"}
+
+
+def _functions(node, prefix: str):
+    """(qualified name, node) of every function and method under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = f"{prefix}.{child.name}"
+            if not isinstance(child, ast.ClassDef):
+                yield name, child
+            yield from _functions(child, name)
+
+
+def test_only_the_run_smear_kernels_read_the_width_cap():
+    found = {name
+             for path in sorted((REPO / "src" / "mstd_chains").glob("*.py"))
+             for name, func in _functions(ast.parse(path.read_text(), filename=str(path)),
+                                          path.stem)
+             if any(isinstance(node, ast.Name) and node.id == "DENSE_DIAMETER_LIMIT"
+                    for node in ast.walk(func))}
+    assert found == _READS_WIDTH_CAP
