@@ -14,13 +14,12 @@ fill-in chain shares, since its seeds are the same fringe pairs.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from typing import Optional
 
 from .errors import InvalidParameterError
-from .intset import (Classification, IntegerSet, _integers, _sets, affine,
+from .intset import (Classification, IntegerSet, _gaps, _integers, _sets, affine,
                      classify, diffset, is_pn, sumset)
 
 
@@ -253,13 +252,12 @@ def nonfill_explicit_mdts(l: int) -> IntegerSet:
 def _missing(a: IntegerSet, lo: int, hi: int) -> tuple[int, list[int]]:
     """How many integers of [lo, hi] are not in ``a``, and the first ten of them.
 
-    The count comes from the elements inside the window and the lazy gap
-    list stops at ten, so neither the cost nor the output grows with the
-    width of the window.
+    Both come from the gaps between the runs of ``a``, so neither the cost
+    nor the output grows with the number of elements or the width of the
+    window.
     """
-    els = a.elements
-    inside = bisect_right(els, hi) - bisect_left(els, lo)
-    return hi - lo + 1 - inside, list(islice(a.missing_in_interval(lo, hi), 10))
+    gaps = _gaps(a, lo, hi)
+    return sum(g.stop - g.start for g in gaps), list(islice(chain.from_iterable(gaps), 10))
 
 
 def _describe(count: int, first: list[int]) -> str:

@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import chain, filterfalse
 from numbers import Integral
-from operator import neg, or_
+from operator import itemgetter, neg, or_
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ArithmeticRangeError, InvalidParameterError, ResourceLimitError
@@ -406,15 +406,12 @@ class IntegerSet:
     def missing_in_interval(self, lo: int, hi: int) -> Iterator[int]:
         """The integers in [lo, hi] that are not elements, ascending.
 
-        A lazy iterator: the first few gaps of a wide window cost a step per
-        element below them, not a step per value of the window. Its
-        arguments are checked at the call.
+        A lazy iterator over the gaps between the set's runs of consecutive
+        elements, so its cost grows with the number of runs, not of elements
+        or of values in the window. Its arguments are checked at the call.
         """
         lo, hi = _integers("missing_in_interval", lo=lo, hi=hi)
-        els = self.elements
-        # the gaps run between consecutive bounds: lo - 1, the elements inside, hi + 1
-        bounds = (lo - 1, *els[bisect_left(els, lo):bisect_right(els, hi)], hi + 1)
-        return chain.from_iterable(map(range, (b + 1 for b in bounds), bounds[1:]))
+        return chain.from_iterable(_gaps(self, lo, hi))
 
     def shift(self, y: int) -> "IntegerSet":
         """Translate every element by ``y``."""
@@ -442,6 +439,21 @@ class IntegerSet:
             return _element_runs(self._els)
         offset = self._offset
         return [(offset + first, offset + last) for first, last in _bit_runs(self._bits)]
+
+
+def _gaps(a: IntegerSet, lo: int, hi: int) -> list[range]:
+    """The maximal runs of integers in [lo, hi] absent from ``a``, ascending.
+
+    They lie between the runs of ``a`` that meet the window, so the cost is
+    a step per run, not per element.
+    """
+    runs = a._runs()
+    # the runs that end at or past lo and start at or before hi
+    inside = runs[bisect_left(runs, lo, key=itemgetter(1)):
+                  bisect_right(runs, hi, key=itemgetter(0))]
+    starts = [lo, *(last + 1 for _, last in inside)]
+    stops = [*(first for first, _ in inside), hi + 1]
+    return [range(start, stop) for start, stop in zip(starts, stops) if start < stop]
 
 
 def _aligned(sets: Sequence[IntegerSet], op: str) -> Optional[tuple[list[int], int]]:

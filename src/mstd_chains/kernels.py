@@ -5,19 +5,22 @@ they start a worker pool, so every other command runs without numpy.
 
 A set inside [0, 32) is one ``uint64`` word, and so are its sum and
 difference words. The subset and seed scans build each set from one with
-an element fewer, since (A | {x}) + (A | {x}) = (A + A) | (A + x) | {2x}:
-``_grow`` extends the words of a whole batch by one position with a few
-in-place word operations. When a size limit leaves no position out (the
-exhaustive and seed scans) a batch doubles once per position; otherwise
-(cardinality scans) it grows by size layers, each layer one gather of
-its parents' words from the layer before, so its cost does not grow with
-the number of positions a limit leaves out.
+an element fewer, since (A | {x}) + (A | {x}) = (A + A) | (A + x) | {2x}.
+``_grow`` takes the sets inside a request's first positions from a table
+built once per process and cached, adds the base elements to a copy of it,
+and then walks the other positions: each batch is the batch it came from
+with one position added, two shift-and-OR updates per word row. A table
+without a size limit (the exhaustive and seed scans) doubles once per
+position; one with a limit (cardinality scans) grows by size layers, each
+layer one gather of its parents' words from the layer before, so the sets
+within a smaller limit are a prefix of it.
 
 ``_subset_chunk`` is the one worker of both subset scans: a task is the
 sets that add at most a given number of free positions to fixed tops.
 The kernel is picked per set: ``_grow`` takes every set inside the word
 width, and each set with an element past it, which only cardinality scans
-reach, is counted alone by ``_set_words``, which also seeds each batch.
+reach, is counted alone by ``_set_words``. A task lists the elements of
+its witnesses only for the MSTD sets that can be kept.
 
 Random samples share no prefix, so sampling classifies each chunk from
 scratch, bit-sliced: for each position a, bit k of a ``uint64`` word
@@ -33,13 +36,13 @@ import math
 from bisect import bisect_left
 from functools import lru_cache
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .search import _BY_SIZE, _WITNESS_CAP, _split, _subsets_up_to
+from .search import _BY_SIZE, _WITNESS_CAP, _subsets_up_to
 
-# most sets one kernel call holds; its five working words take 640 KiB
+# most sets one batch holds; a table of that many sets takes 512 KiB
 _BATCH = 1 << 14
 # widest set the kernel takes: its sum and difference words then need 63 bits
 _WORD_WIDTH = 32
@@ -66,56 +69,143 @@ def _grow(base: int, positions: Sequence[int], max_size: int
     """Words of every set ``base | T``, T a subset of ``positions``, in batches.
 
     Yields (bits, sums, pdiffs) batches of at most ``_BATCH`` sets, only
-    sets with |T| <= ``max_size``. When that leaves no position out, set i
-    across the batches is the binary counter i over ``positions`` (bit k
-    of i stands for ``positions[k]``), in increasing i. Otherwise a
-    request splits into batches as the counter would, but within a batch
-    that leaves some position out the sets come by |T| and then in colex
-    order. Bit i of a sum word stands for the sum i and bit i of a
-    ``pdiffs`` word for the difference i >= 0, so |A+A| is the popcount of
-    ``sums`` and |A-A| is twice that of ``pdiffs`` minus one. Elements lie
-    in [0, 32) and no position is in ``base``. Every batch is a view of one
-    buffer, overwritten by the next batch.
+    sets with |T| <= ``max_size``. Bit i of a sum word stands for the sum i
+    and bit i of a ``pdiffs`` word for the difference i >= 0, so |A+A| is
+    the popcount of ``sums`` and |A-A| is twice that of ``pdiffs`` minus
+    one. Elements lie in [0, 32) and no position is in ``base``.
+
+    The sets T inside the first k positions come from a cached ``_table``,
+    and the base elements are added to a copy of it once per call. A walk
+    over the other positions, in ``_split``'s order, then makes the batch
+    of each set U of them from the batch of U without its lowest position,
+    with two shift-and-OR updates per word row (``_add``). When the limit
+    leaves no position out, k = log2 ``_BATCH``, the table is in counter
+    order, and set i across the batches is the binary counter i over
+    ``positions`` (bit k of i stands for ``positions[k]``), in increasing
+    i. Otherwise k is the most positions whose subsets within the limit fit
+    ``_BATCH``, U's batch holds the T with |T| <= max_size - |U|, and those
+    come by |T| and then in colex order. A request of one batch is built
+    from ``base`` for the call alone, uncached. Every batch is a view of
+    buffers the call owns, overwritten by a later batch and read by the
+    batches walked from it, so do not write into one.
+    """
+    if max_size < 0:
+        return
+    m = len(positions)
+    if max_size >= m:
+        k, limit = min(m, _BATCH.bit_length() - 1), None
+    else:
+        k = m
+        while _subsets_up_to(k, min(max_size, k)) > _BATCH:
+            k -= 1
+        limit = min(max_size, k)
+    if k == m:  # one batch, built from base for this call alone
+        words = _words(base, positions, limit)
+        yield words[0], words[2], words[3]
+        return
+    table = _table(tuple(positions[:k]), limit)
+    walked = positions[k:]
+    depth = min(max_size, len(walked))
+    # the batch at depth j holds the sets of the table with |T| <= max_size - j
+    sizes = [_subsets_up_to(k, min(max_size - j, k)) for j in range(depth + 1)]
+    # a level holds a batch while the walk grows others from it; the last
+    # batch grown from it, which adds the position just below its lowest,
+    # overwrites it, so level l only ever holds batches of depth l or more
+    held = sizes[:1 + min(depth, len(walked) // 2)]
+    buffer = np.empty(2 * sum(held) + sizes[0], dtype=np.uint64)
+    levels = []
+    for size in held:
+        levels.append(buffer[:2 * size].reshape(2, size))
+        buffer = buffer[2 * size:]
+    np.copyto(levels[0], table[2:])
+    for b in _elements(base):
+        _add(table, levels[0], levels[0], b, buffer)
+    yield _finish(table, levels[0], base, buffer)
+    fixed = [base] * (depth + 1)  # base | U at each depth of the walk
+    at = [0] * (depth + 1)  # the level of the batch at each depth
+    for u in _peel(0, range(len(walked)), 0, len(walked), depth):
+        i = (u & -u).bit_length() - 1  # the position that u's parent lacks
+        j = u.bit_count()
+        fixed[j] = fixed[j - 1] | 1 << walked[i]
+        # the parent's level if u's next position up is the parent's lowest
+        at[j] = at[j - 1] + (not (u | 1 << len(walked)) >> (i + 1) & 1)
+        out = levels[at[j]][:, :sizes[j]]
+        _add(table, levels[at[j - 1]], out, walked[i], buffer)
+        yield _finish(table, out, fixed[j], buffer)
+
+
+def _words(base: int, positions: Sequence[int], limit: Optional[int]) -> np.ndarray:
+    """The (bits, reversed bits, sums, pdiffs) rows of the sets base | T, T
+    inside ``positions``.
+
+    With no ``limit`` they are every T in counter order. Otherwise they are
+    the T with |T| <= limit, by |T| and then in colex order, so those with
+    |T| <= r are the first ``_subsets_up_to(len(positions), r)``. The
+    reversed bits hold bit 31 - a for each element a, so that the
+    differences x - a come from one shift.
     """
     m = len(positions)
-    # no batch holds more sets than the whole request or than _BATCH
-    words = np.empty((4, min(_subsets_up_to(m, min(max_size, m)), _BATCH)), dtype=np.uint64)
-    for tops, positions, limit, count in _split((), positions, max_size, _BATCH):
-        bits = base | sum(1 << t for t in tops)
-        if limit < len(positions):
-            yield _layer_batch(bits, positions, limit, count, words)
-        else:
-            yield _grow_batch(bits, positions, words)
+    words = np.empty((4, _subsets_up_to(m, m if limit is None else limit)), dtype=np.uint64)
+    words[:, 0] = (base, sum(1 << (_WORD_WIDTH - 1 - a) for a in _elements(base)),
+                   *_set_words(base))
+    shifts = np.array([positions, [_WORD_WIDTH - 1 - x for x in positions]], dtype=np.uint64)
+    if limit is None:
+        _grow_batch(words, shifts)
+    else:
+        _layer_batch(words, shifts, limit)
+    return words
 
 
-def _start(base: int, positions: Sequence[int], total: int, words: np.ndarray
-           ) -> tuple[np.ndarray, np.ndarray]:
-    """The first ``total`` columns of ``words``, column 0 holding the words of
-    ``base``, and per position x the shifts (x, 31 - x).
+@lru_cache(maxsize=4)
+def _table(positions: tuple[int, ...], limit: Optional[int]) -> np.ndarray:
+    """``_words`` of the sets T inside ``positions``, read-only: the table a
+    walk grows its batches from."""
+    words = _words(0, positions, limit)
+    words.flags.writeable = False
+    return words
 
-    The rows hold each set's bits, its bits reversed (so that the
-    differences x - a come from one shift), its sums and its nonnegative
-    differences.
+
+def _add(table: np.ndarray, parent: np.ndarray, out: np.ndarray, x: int,
+         scratch: np.ndarray) -> None:
+    """The sums and pdiffs of each set of ``parent`` with x added, into
+    ``out``, which may be ``parent``: the pairs of x and the table's set T.
+
+    From (S | {x}) + (S | {x}) = (S + S) | (S + x) | {2x}, that is two
+    shift-and-OR updates per word row; x's pairs with the elements outside
+    T are ``_finish``'s.
     """
-    w = words[:, :total]
-    w[:, 0] = (base, sum(1 << (_WORD_WIDTH - 1 - a) for a in _elements(base)),
-               *_set_words(base))
-    return w, np.array([positions, [_WORD_WIDTH - 1 - x for x in positions]], dtype=np.uint64)
+    n = out.shape[1]
+    bits, rev = table[0, :n], table[1, :n]
+    np.left_shift(bits, x, out=scratch[:n])  # a + x
+    np.bitwise_or(parent[0, :n], scratch[:n], out=out[0])
+    np.right_shift(bits, x, out=scratch[:n])  # a - x for a >= x
+    np.bitwise_or(parent[1, :n], scratch[:n], out=out[1])
+    np.right_shift(rev, _WORD_WIDTH - 1 - x, out=scratch[:n])  # x - a for a <= x
+    np.bitwise_or(out[1], scratch[:n], out=out[1])
 
 
-def _grow_batch(base: int, positions: Sequence[int], words: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One ``_grow`` batch: every set base | T, level by level.
+def _finish(table: np.ndarray, level: np.ndarray, fixed: int, bits: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The batch of the table's sets T with the elements of ``fixed`` added,
+    from ``level``, which holds every pair but those inside ``fixed``."""
+    n = level.shape[1]
+    np.bitwise_or(level, np.array(_set_words(fixed), dtype=np.uint64)[:, None], out=level)
+    np.bitwise_or(table[0, :n], fixed, out=bits[:n])
+    return bits[:n], level[0], level[1]
 
-    Level k appends, for each set so far, the set with x = ``positions[k]``
+
+def _grow_batch(w: np.ndarray, shifts: np.ndarray) -> None:
+    """Fill ``w`` with every set S | T, T inside the positions, level by
+    level, from the set S in column 0.
+
+    Level k appends, for each set so far, the set with x = position k
     added. From (A | {x}) + (A | {x}) = (A + A) | (A + x) | {2x}, its words
     cost eight word operations in five ufunc calls, with pairs of rows
     updated together.
     """
-    w, shifts = _start(base, positions, 1 << len(positions), words)
     marks = np.left_shift(np.uint64(1), shifts)
     n = 1
-    for level in range(len(positions)):
+    for level in range(shifts.shape[1]):
         src, new = slice(0, n), slice(n, 2 * n)
         shift = shifts[:, level:level + 1]
         np.bitwise_or(w[:2, src], marks[:, level:level + 1], out=w[:2, new])
@@ -125,7 +215,6 @@ def _grow_batch(base: int, positions: Sequence[int], words: np.ndarray
         np.left_shift(w[0, new], shift[0], out=w[2, new])  # a + x
         np.bitwise_or(w[2:, src], w[2:, new], out=w[2:, new])
         n *= 2
-    return w[0], w[2], w[3]
 
 
 @lru_cache(maxsize=64)
@@ -145,19 +234,17 @@ def _plan(m: int, limit: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple(layers)
 
 
-def _layer_batch(base: int, positions: Sequence[int], limit: int, count: int,
-                 words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One ``_grow`` batch with a size limit: the ``count`` sets base | T with
-    |T| <= limit, layer by layer in |T|.
+def _layer_batch(w: np.ndarray, shifts: np.ndarray, limit: int) -> None:
+    """Fill ``w`` with the sets S | T, T inside the positions with |T| <=
+    limit, layer by layer in |T|, from the set S in column 0.
 
     Each layer is one gather of its parents' four words from the layer
     before, then the word updates of ``_grow_batch`` with a shift per set,
-    so a batch costs a few numpy calls per layer, not per position.
+    so it costs a few numpy calls per layer, not per position.
     """
-    w, shifts = _start(base, positions, count, words)
     one = np.uint64(1)
     start, stop = 0, 1
-    for source, position in _plan(len(positions), limit):
+    for source, position in _plan(shifts.shape[1], limit):
         new = w[:, stop:stop + source.size]
         np.take(w[:, start:stop], source, axis=1, out=new, mode="clip")
         shift = np.take(shifts, position, axis=1, mode="clip")
@@ -169,7 +256,6 @@ def _layer_batch(base: int, positions: Sequence[int], limit: int, count: int,
         np.left_shift(new[0], shift[0], out=scratch[0])  # a + x
         np.bitwise_or(new[2:], scratch, out=new[2:])
         start, stop = stop, stop + source.size
-    return w[0], w[2], w[3]
 
 
 def _grow_tally(sums: np.ndarray, pdiffs: np.ndarray) -> tuple[np.ndarray, int, int]:
@@ -187,11 +273,23 @@ def _elements(bits: int, offset: int = 0) -> tuple[int, ...]:
     return tuple(i + offset for i in range(bits.bit_length()) if (bits >> i) & 1)
 
 
-def _keep_witnesses(witnesses: list[tuple], found: Iterable[tuple[int, ...]]) -> list[tuple]:
-    """Of ``witnesses`` and the keys (d, |A|, elements) of the MSTD sets ``found``,
-    d the largest element, the ``_WITNESS_CAP`` smallest keys and the
-    ``_WITNESS_CAP`` smallest by (|A|, d, elements): each scan's witnesses."""
-    keys = witnesses + [(e[-1], len(e), e) for e in found]
+def _keep_witnesses(found: list[int]) -> list[tuple]:
+    """Of the MSTD sets ``found`` (bit i = element i), the keys (d, |A|,
+    elements), d the largest element, that are among the ``_WITNESS_CAP``
+    smallest or the ``_WITNESS_CAP`` smallest by (|A|, d, elements): a
+    task's witnesses.
+
+    Elements are listed only for the sets that tie with or beat the
+    ``_WITNESS_CAP``-th smallest (d, |A|) or (|A|, d), the only ones that
+    can be kept.
+    """
+    kept: set[int] = set()
+    for order in (lambda b: (b.bit_length(), b.bit_count()),
+                  lambda b: (b.bit_count(), b.bit_length())):
+        edge = heapq.nsmallest(_WITNESS_CAP, map(order, found))
+        if edge:
+            kept.update(bits for bits in found if order(bits) <= edge[-1])
+    keys = [(bits.bit_length() - 1, bits.bit_count(), _elements(bits)) for bits in kept]
     return sorted(set(heapq.nsmallest(_WITNESS_CAP, keys))
                   | set(heapq.nsmallest(_WITNESS_CAP, keys, key=_BY_SIZE)))
 
@@ -219,24 +317,24 @@ def _subset_chunk(task: tuple[tuple[int, ...], Sequence[int], int, int]
     wide = [base] if base >> _WORD_WIDTH else []  # a wide top: every set is counted alone
     narrow = 0 if wide else bisect_left(positions, _WORD_WIDTH)
     total = mstd = mdts = 0
-    witnesses: list[tuple] = []
+    found: list[int] = []
     for bits, sums, pdiffs in [] if wide else _grow(base, positions[:narrow], limit):
         hits, more, fewer = _grow_tally(sums, pdiffs)
         total += bits.size
         mstd += more
         mdts += fewer
         if more:
-            witnesses = _keep_witnesses(witnesses, map(_elements, bits[hits].tolist()))
+            found += bits[hits].tolist()
     for bits in chain(wide, _peel(base, positions, narrow, len(positions), limit)):
         sums, pdiffs = _set_words(bits)
         s, f = sums.bit_count(), 2 * pdiffs.bit_count() - 1
         total += 1
         if s > f:
             mstd += 1
-            witnesses = _keep_witnesses(witnesses, [_elements(bits)])
+            found.append(bits)
         elif s < f:
             mdts += 1
-    return total, mstd, mdts, total - mstd - mdts, witnesses
+    return total, mstd, mdts, total - mstd - mdts, _keep_witnesses(found)
 
 
 def _bit_slices(rows: np.ndarray) -> np.ndarray:

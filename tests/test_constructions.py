@@ -354,6 +354,24 @@ def test_conditions_cost_does_not_grow_with_the_pairs():
     assert report.failures == ("[0, n-1] must not be fully covered by L+R",)
 
 
+def test_conditions_on_full_intervals_walk_runs_not_elements():
+    # the sumset of two intervals is about 6n values in a few runs; the
+    # missing counts come from its runs, not from listing it
+    n = 10**6
+    full = IntegerSet.interval(0, n)
+    tracemalloc.start()
+    try:
+        report = check_thm31_conditions(full, full, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, f"peak {peak / 2**20:.1f} MiB"
+    assert report == ConditionReport(
+        passed=False, failures=("[0, n-1] must not be fully covered by L+R",),
+        missing={"L+L": [], "R+R": [], "L+R": []},
+        missing_count={"L+L": 0, "R+R": 0, "L+R": 0})
+
+
 def test_conditions_bound_their_witnesses():
     # every value of [1, n-1] is missing from each sum combination
     n = 10**6

@@ -314,6 +314,20 @@ def test_set_operations(conway):
     assert list(conway.missing_in_interval(0, 14)) == [1, 5, 6, 8, 9, 10, 13]
 
 
+@example({0, 1, 2, 3, 10}, 2, 10)  # the window starts inside a run
+@example({0, 1, 2, 3, 10, 11, 12}, -1, 12)  # and ends inside one
+@given(st.sets(st.integers(-30, 30), max_size=40), st.integers(-40, 40), st.integers(-3, 40))
+def test_missing_in_interval_agrees_on_both_representations(els, lo, width):
+    from mstd_chains.constructions import _missing
+
+    hi = lo + width
+    want = [v for v in range(lo, hi + 1) if v not in els]
+    for a in (IntegerSet(els), _bits_only(els)):
+        assert list(a.missing_in_interval(lo, hi)) == want
+        if lo <= hi:
+            assert _missing(a, lo, hi) == (len(want), want[:10])
+
+
 def test_dedup_and_ordering():
     a = IntegerSet([3, 1, 2, 3, 1])
     assert a.to_list() == [1, 2, 3]

@@ -1,7 +1,9 @@
+import gc
 import json
 import math
 import os
 import time
+import tracemalloc
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -785,18 +787,80 @@ def test_grow_split_matches_unsplit(monkeypatch):
     assert find_fill2_seeds(9) == seeds
 
 
+@pytest.mark.parametrize("batch", [1 << 3, 1 << 5])
+def test_walk_matches_referee(batch, monkeypatch):
+    # a small _BATCH makes every request a table of a few positions and a
+    # walk over the rest, each batch grown from the one before it
+    monkeypatch.setattr(kernels, "_BATCH", batch)
+    cases = [
+        # base elements below, between and above the positions, 31 among them
+        (1 | 1 << 9 | 1 << 31, [1, 2, 3, 4, 5, 6, 7, 8, 10, 11, 12]),
+        # walked positions below the table's, 31 and 0 among them
+        (1 << 12, [20, 21, 22, 23, 24, 25, 3, 31, 0, 7, 11]),
+        # one base element past every position
+        (1 << 30, [0, 2, 5, 6, 8, 9, 13, 17, 18]),
+    ]
+    for base, free in cases:
+        assert _grown(base, free) == _counter_order(base, free)
+        for max_size in (0, 1, 2, 4, 7, len(free) - 1):
+            # bounded batches come by size, so compare as sorted lists
+            assert sorted(_grown(base, free, max_size)) == sorted(
+                _counter_order(base, free, max_size)), (base, free, max_size)
+    for table in (kernels._table(tuple(free[:3]), None), kernels._table(tuple(free[:3]), 2)):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+
+
+def test_writing_into_a_batch_leaves_the_next_scan_alone(monkeypatch):
+    scans = (lambda: exhaustive_by_diameter(16).to_json(),
+             lambda: min_cardinality_scan(22, 6).to_json(),
+             lambda: find_fill2_seeds(9))
+    want = [scan() for scan in scans]
+
+    def overwriting(*args):
+        for batch in _grow(*args):
+            yield batch
+            for words in batch:
+                words[:] = ~np.uint64(0)
+
+    monkeypatch.setattr(kernels, "_grow", overwriting)
+    for scan in scans:
+        scan()
+    monkeypatch.undo()
+    assert [scan() for scan in scans] == want
+
+
+def test_repeated_scans_hold_no_buffers():
+    # a buffer held by a reference cycle would survive each scan with gc off
+    scans = (lambda: exhaustive_by_diameter(19), lambda: min_cardinality_scan(24, 7),
+             lambda: find_fill2_seeds(10))
+    for scan in scans:
+        scan()  # the cached tables
+    gc.disable()
+    tracemalloc.start()
+    try:
+        for _ in range(10):
+            for scan in scans:
+                scan()
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert current < 4 << 20
+
+
 def test_no_kernel_call_holds_more_than_the_cap(monkeypatch):
+    # every batch of every scan comes from _grow, whose tables _grow_batch
+    # and _layer_batch build
     sizes = []
 
-    def recording(builder):
-        def record(*args):
-            out = builder(*args)
-            sizes.append(out[0].size)
-            return out
-        return record
+    def recording(*args):
+        for batch in _grow(*args):
+            sizes.append(batch[0].size)
+            yield batch
 
-    for name in ("_grow_batch", "_layer_batch"):
-        monkeypatch.setattr(kernels, name, recording(getattr(kernels, name)))
+    monkeypatch.setattr(kernels, "_grow", recording)
     total = exhaustive_by_diameter(21).total_examined
     total += min_cardinality_scan(31, 6).total_examined
     total += sum(min_cardinality_scan(d, d + 1).total_examined for d in (19, 20))
