@@ -11,9 +11,11 @@ built once per process and cached, adds the base elements to a copy of it,
 and then walks the other positions: each batch is the batch it came from
 with one position added, two shift-and-OR updates per word row. A table
 without a size limit (the exhaustive and seed scans) doubles once per
-position; one with a limit (cardinality scans) grows by size layers, each
-layer one gather of its parents' words from the layer before, so the sets
-within a smaller limit are a prefix of it.
+position, to half of ``_BATCH``; one with a limit (cardinality scans) grows
+by size layers, each layer one gather of its parents' words from the layer
+before, so the sets within a smaller limit are a prefix of it. A bounded
+walk's batches shrink as it adds positions, so its table takes as many
+positions as ``_BATCH`` holds and leaves the walk few of them.
 
 ``_subset_chunk`` is the one worker of both subset scans: a task is the
 sets that add at most a given number of free positions to fixed tops.
@@ -22,11 +24,13 @@ width, and each set with an element past it, which only cardinality scans
 reach, is counted alone by ``_set_words``. A task lists the elements of
 its witnesses only for the MSTD sets that can be kept.
 
-Random samples share no prefix, so sampling classifies each chunk from
+Random samples share no prefix, so sampling classifies them from
 scratch, bit-sliced: for each position a, bit k of a ``uint64`` word
 says whether sample k holds a, so one word operation serves 64 samples
-and no word width limits n (``_slice_counts``). ``search._scan`` folds
-the chunk workers' results into a report.
+and no word width limits n (``_pair_counts``). A sampling task draws
+several chunks, each from its own stream, into one array of slices and
+counts them together, so the pair loop runs once per task, not per chunk.
+``search._scan`` folds the workers' results into a report.
 """
 
 from __future__ import annotations
@@ -40,10 +44,15 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .search import _BY_SIZE, _WITNESS_CAP, _subsets_up_to
+from .search import _BY_SIZE, _SAMPLE_CHUNK, _WITNESS_CAP, _subsets_up_to
 
-# most sets one batch holds; a table of that many sets takes 512 KiB
-_BATCH = 1 << 14
+# most sets one batch holds; a table of that many sets takes 1 MiB. A
+# bounded walk's batches shrink with its depth, so its table takes the whole
+# cap (min_cardinality_scan(31, 7) makes 504 batches, 2,842 at half of it);
+# an unbounded walk's batches stay full, and its table holds half the cap:
+# at the whole cap exhaustive_by_diameter(22) ran slower, 31 against 29 ms
+# serial on a 2 vCPU host
+_BATCH = 1 << 15
 # widest set the kernel takes: its sum and difference words then need 63 bits
 _WORD_WIDTH = 32
 # bytes of one block that sampling transposes or unpacks at a time
@@ -79,7 +88,7 @@ def _grow(base: int, positions: Sequence[int], max_size: int
     over the other positions, in ``_split``'s order, then makes the batch
     of each set U of them from the batch of U without its lowest position,
     with two shift-and-OR updates per word row (``_add``). When the limit
-    leaves no position out, k = log2 ``_BATCH``, the table is in counter
+    leaves no position out, k = log2 ``_BATCH`` - 1, the table is in counter
     order, and set i across the batches is the binary counter i over
     ``positions`` (bit k of i stands for ``positions[k]``), in increasing
     i. Otherwise k is the most positions whose subsets within the limit fit
@@ -93,7 +102,7 @@ def _grow(base: int, positions: Sequence[int], max_size: int
         return
     m = len(positions)
     if max_size >= m:
-        k, limit = min(m, _BATCH.bit_length() - 1), None
+        k, limit = min(m, _BATCH.bit_length() - 2), None
     else:
         k = m
         while _subsets_up_to(k, min(max_size, k)) > _BATCH:
@@ -259,13 +268,19 @@ def _layer_batch(w: np.ndarray, shifts: np.ndarray, limit: int) -> None:
 
 
 def _grow_tally(sums: np.ndarray, pdiffs: np.ndarray) -> tuple[np.ndarray, int, int]:
-    """The MSTD mask of a ``_grow`` batch, with its MSTD and MDTS counts."""
-    sums_1 = np.bitwise_count(sums)
-    sums_1 += 1  # |A+A| + 1
-    diffs_1 = np.bitwise_count(pdiffs)
-    diffs_1 <<= 1  # |A-A| + 1
-    hits = sums_1 > diffs_1
-    return hits, int(np.count_nonzero(hits)), int(np.count_nonzero(sums_1 < diffs_1))
+    """The MSTD mask of a ``_grow`` batch, with its MSTD and MDTS counts.
+
+    |A+A| - |A-A| - 1 is popcount(sums) - 2 popcount(pdiffs), kept modulo
+    256 in ``uint8``: as popcount(sums) <= 63 and popcount(pdiffs) <= 32,
+    it is below 64 exactly for MSTD sets and 255 exactly for balanced ones.
+    """
+    surplus = np.bitwise_count(sums)
+    twice = np.bitwise_count(pdiffs)
+    twice += twice
+    surplus -= twice
+    hits = surplus < 64
+    mstd = int(np.count_nonzero(hits))
+    return hits, mstd, surplus.size - mstd - int(np.count_nonzero(surplus == 255))
 
 
 def _elements(bits: int, offset: int = 0) -> tuple[int, ...]:
@@ -337,20 +352,19 @@ def _subset_chunk(task: tuple[tuple[int, ...], Sequence[int], int, int]
     return total, mstd, mdts, total - mstd - mdts, _keep_witnesses(found)
 
 
-def _bit_slices(rows: np.ndarray) -> np.ndarray:
-    """The (count, n) 0/1 ``uint8`` membership ``rows`` as (n, ceil(count / 64))
-    ``uint64`` words: bit k of word j in row a is ``rows[64 j + k, a]``.
+def _bit_slices(rows: np.ndarray, out: np.ndarray) -> None:
+    """Pack the (count, n) 0/1 ``uint8`` membership ``rows`` into the first
+    ceil(count / 8) bytes of each row of ``out``, (n, ...) ``uint8``: bit k of
+    byte j in row a is ``rows[8 j + k, a]``.
 
-    Padding bits past ``count`` are zero, so they stand for empty sets.
+    Viewed as ``uint64``, row a holds a's membership in 64 samples a word.
     """
     count, n = rows.shape
-    x = np.zeros((n, 8 * -(-count // 64)), dtype=np.uint8)
     step = max(1, _BLOCK_BYTES // count)
     for a in range(0, n, step):
         # packing along the strided axis is several times slower than copying first
-        x[a:a + step, :-(-count // 8)] = np.packbits(
+        out[a:a + step, :-(-count // 8)] = np.packbits(
             np.ascontiguousarray(rows[:, a:a + step].T), axis=1, bitorder="little")
-    return x.view(np.uint64)
 
 
 def _column_counts(words: np.ndarray, count: int) -> np.ndarray:
@@ -365,35 +379,49 @@ def _column_counts(words: np.ndarray, count: int) -> np.ndarray:
     return total[:count]
 
 
-def _slice_counts(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(|A+A|, |A-A|) of each row of a (count, n) 0/1 ``uint8`` membership matrix.
+def _pair_counts(x: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(|A+A|, |A-A|) of the first ``count`` sets bit-sliced in ``x``.
 
-    Row k is the set of positions a with ``rows[k, a]`` = 1. Bit-sliced
-    (``_bit_slices``), the sums a + b and the differences b - a >= 0 of
-    64 sets at a time take three word operations per pair of positions
-    a <= b, in 3n numpy calls. A row's differences are symmetric around
-    0, which every nonempty set has, so |A-A| is twice the nonnegative
-    ones minus that one; an empty row has no sums and no differences.
+    Row a of the (n, words) ``uint64`` array holds bit k of word j if set
+    64 j + k holds position a; bits past the sets stand for empty sets. The
+    sums a + b and the differences b - a >= 0 of 64 sets at a time take
+    three word operations per pair of positions a <= b, in 3n numpy calls.
+    A set's differences are symmetric around 0, which every nonempty set
+    has, so |A-A| is twice the nonnegative ones minus that one; an empty
+    set has no sums and no differences.
     """
-    count, n = rows.shape
-    x = _bit_slices(rows)
+    n = len(x)
     sums = np.zeros((2 * n - 1, x.shape[1]), dtype=np.uint64)
     pdiffs = np.zeros_like(x)
+    both = np.empty_like(x)
     for a in range(n):
-        both = x[a:] & x[a]  # the samples holding a and b, for each b >= a
-        sums[2 * a:a + n] |= both
-        pdiffs[:n - a] |= both
+        pairs = both[:n - a]
+        np.bitwise_and(x[a:], x[a], out=pairs)  # the sets holding a and b, for each b >= a
+        sums[2 * a:a + n] |= pairs
+        pdiffs[:n - a] |= pairs
     nonempty = np.unpackbits(pdiffs[0].view(np.uint8), bitorder="little")[:count]
-    return (_column_counts(sums, count).astype(np.int32),
-            2 * _column_counts(pdiffs, count).astype(np.int32) - nonempty)
+    diffs = _column_counts(pdiffs, count).astype(np.int16)  # n <= 10**4: no overflow
+    diffs += diffs
+    diffs -= nonempty
+    return _column_counts(sums, count).astype(np.int16), diffs
+
+
+def _slice_counts(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(|A+A|, |A-A|) of each row of a (count, n) 0/1 ``uint8`` membership
+    matrix, row k the set of positions a with ``rows[k, a]`` = 1: the rows
+    bit-sliced (``_bit_slices``), then counted by ``_pair_counts``."""
+    count, n = rows.shape
+    x = np.zeros((n, 8 * -(-count // 64)), dtype=np.uint8)
+    _bit_slices(rows, x)
+    return _pair_counts(x.view(np.uint64), count)
 
 
 def _sample_rows(seed: int, chunk_index: int, count: int, n: int) -> np.ndarray:
     """A chunk's draw: row k is sample k, and its byte a - 1 is 1 if a is in it.
 
     The RNG is seeded from (seed, chunk index) alone, so the stream for a
-    chunk never depends on which worker runs it. The rows are those of
-    ``integers(0, 2, size=(count, n), dtype=np.uint8)``, which keeps the
+    chunk never depends on which worker or task runs it. The rows are those
+    of ``integers(0, 2, size=(count, n), dtype=np.uint8)``, which keeps the
     top bit of each byte of the generator's stream, read from the raw
     stream without a bounded-integer draw per byte.
     """
@@ -405,19 +433,35 @@ def _sample_rows(seed: int, chunk_index: int, count: int, n: int) -> np.ndarray:
 
 
 def _sample_chunk(task: tuple[int, int, int, int]) -> tuple[int, int, int, int, list[tuple]]:
-    """Classify one fixed-size block of random subsets of [1, n].
+    """Classify ``count`` random subsets of [1, n]: the chunks from
+    ``first_chunk`` on, each of ``_SAMPLE_CHUNK`` samples but the last.
 
-    The counts hold the draw and about half its size again in memory,
-    under 3 count n bytes in all.
+    Each chunk is drawn from its own stream (``_sample_rows``) and
+    bit-sliced into its own columns of one task-wide array, whose pairs are
+    then counted in one pass (``_pair_counts``), so the pair loop and the
+    counts run once per task, not once per chunk. Sample k of the task is row
+    k mod ``_SAMPLE_CHUNK`` of chunk ``first_chunk`` + k div ``_SAMPLE_CHUNK``,
+    and a witness is (chunk index, row index, elements): the task's first
+    ``_WITNESS_CAP`` MSTD samples, read back from the bit slices. A task
+    holds one chunk's draw, its bits five times over (the slices, the pairs
+    of one position, the sum and difference words: 5/8 count n bytes), an
+    unpacking block of at most about ``_BLOCK_BYTES`` and a few bytes per
+    sample.
     """
-    seed, chunk_index, count, n = task
-    rows = _sample_rows(seed, chunk_index, count, n)
-    sums, diffs = _slice_counts(rows)
-    signs = np.sign(sums - diffs)
-    mdts, bal, mstd = (int(c) for c in np.bincount(signs + 1, minlength=3))
-    witnesses = [(chunk_index, row_index, tuple((np.flatnonzero(rows[row_index]) + 1).tolist()))
-                 for row_index in np.flatnonzero(signs > 0)[:_WITNESS_CAP].tolist()]
-    return count, mstd, mdts, bal, witnesses
+    seed, first_chunk, count, n = task
+    x = np.zeros((n, 8 * -(-count // 64)), dtype=np.uint8)
+    for start in range(0, count, _SAMPLE_CHUNK):
+        rows = _sample_rows(seed, first_chunk + start // _SAMPLE_CHUNK,
+                            min(_SAMPLE_CHUNK, count - start), n)
+        _bit_slices(rows, x[:, start // 8:])
+    words = x.view(np.uint64)
+    sums, diffs = _pair_counts(words, count)
+    hits = sums > diffs
+    mstd, mdts = int(np.count_nonzero(hits)), int(np.count_nonzero(sums < diffs))
+    witnesses = [(first_chunk + k // _SAMPLE_CHUNK, k % _SAMPLE_CHUNK,
+                  tuple((np.flatnonzero(words[:, k // 64] >> k % 64 & 1) + 1).tolist()))
+                 for k in np.flatnonzero(hits)[:_WITNESS_CAP].tolist()]
+    return count, mstd, mdts, count - mstd - mdts, witnesses
 
 
 def _fill2_seed_scan(n: int) -> list[tuple[int, ...]]:

@@ -13,6 +13,10 @@ One ``_split`` cuts them on their top positions into tasks of at most
 ``_TASK_SETS`` sets, and the kernels cut a task into batches the same way.
 One budget of ``_SET_BUDGET`` sets, counted in closed form before any task
 is built, bounds both scans and the sampler; ``_WINDOW`` bounds d_max.
+The sampler draws chunks of ``_SAMPLE_CHUNK`` samples, each from a stream
+seeded by (seed, chunk index), and a task takes several consecutive ones:
+as many as one ``kernels._BLOCK_BYTES`` block of draws holds, the
+request's chunks split evenly between the tasks.
 
 Task boundaries and per-chunk RNG seeds depend only on the request,
 never on the worker count, and results merge associatively: reports are
@@ -281,8 +285,9 @@ def sample_mstd_proportion(n: int, samples: int, seed: int,
 
     Each element is included independently with probability 1/2. Sampling
     is chunked with per-chunk derived seeds, so the report is bit-identical
-    for any worker count. The 95% interval is a Wilson score interval.
-    At most 10**8 samples, and n**2 * samples at most 10**11, are taken.
+    for any worker count and any number of chunks per task. The 95%
+    interval is a Wilson score interval. At most 10**8 samples, and
+    n**2 * samples at most 10**11, are taken.
     """
     n, samples, seed, workers = _integers("sample_mstd_proportion", n=n, samples=samples,
                                           seed=seed, workers=workers)
@@ -296,9 +301,16 @@ def sample_mstd_proportion(n: int, samples: int, seed: int,
         raise ResourceLimitError(f"sample_mstd_proportion: more than {_SET_BUDGET} samples")
     if n * n * samples > _SAMPLE_WORK:
         raise ResourceLimitError(f"sample_mstd_proportion: n**2 * samples above {_SAMPLE_WORK}")
-    tasks = [(seed, chunk_index, min(_SAMPLE_CHUNK, samples - start), n)
-             for chunk_index, start in enumerate(range(0, samples, _SAMPLE_CHUNK))]
-    from .kernels import _sample_chunk
+    from .kernels import _BLOCK_BYTES, _sample_chunk
+    # a task takes as many chunks as one block of draws holds, and the
+    # request's chunks are split evenly, larger tasks first, so a task's
+    # first chunk and size depend only on the request
+    chunks = -(-samples // _SAMPLE_CHUNK)
+    parts = -(-chunks // max(1, _BLOCK_BYTES // (_SAMPLE_CHUNK * n)))
+    size, larger = divmod(chunks, parts)
+    firsts = [t * size + min(t, larger) for t in range(parts + 1)]
+    tasks = [(seed, first, min(end * _SAMPLE_CHUNK, samples) - first * _SAMPLE_CHUNK, n)
+             for first, end in zip(firsts, firsts[1:])]
     report = _scan(_sample_chunk, tasks, workers,
                    f"uniform random subsets of [1,{n}], p=1/2 per element")
     return replace(report, seed=seed,

@@ -565,18 +565,52 @@ def test_sampling_at_full_width_matches_referee_row_by_row():
 def test_sample_chunk_memory_and_time_are_bounded():
     import tracemalloc
 
-    count, n = 4096, 2000
-    tracemalloc.start()
-    try:
-        start = time.perf_counter()
-        total = _sample_chunk((1, 0, count, n))[0]
-        elapsed = time.perf_counter() - start
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert total == count
-    assert peak < 3 * count * n, peak
-    assert elapsed < 2.0
+    # one chunk at n = 2000, and the eight chunks a task takes at n = 30
+    for count, n, seconds in ((4096, 2000, 2.0), (8 * search._SAMPLE_CHUNK, 30, 0.5)):
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            total = _sample_chunk((1, 0, count, n))[0]
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert total == count
+        assert peak < 3 * count * n, (n, peak)
+        assert elapsed < seconds
+
+
+@pytest.mark.parametrize("n", [1, 30, 64, 200])
+def test_sampling_reports_do_not_depend_on_chunks_per_task(n, monkeypatch):
+    # tasks of one chunk, of up to eight, and of the default count give one
+    # report, serial and pooled, also with a partial last chunk
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    splits = []
+    run_tasks = search._run_tasks
+
+    def recording(worker, tasks, workers):
+        splits.append([task[1:3] for task in tasks])
+        return run_tasks(worker, tasks, workers)
+
+    monkeypatch.setattr(search, "_run_tasks", recording)
+    chunk = search._SAMPLE_CHUNK
+    # nine chunks, the last of one sample, as (first chunk, samples) tasks
+    nine = {1: [(k, chunk) for k in range(8)] + [(8, 1)],
+            8: [(0, 5 * chunk), (5, 3 * chunk + 1)]}
+    for samples in (9000, 8 * chunk + 1):
+        reports = set()
+        for per_task in (1, 8, None):
+            with monkeypatch.context() as m:
+                if per_task:
+                    m.setattr(kernels, "_BLOCK_BYTES", per_task * chunk * n)
+                for workers in (1, 2):
+                    splits.clear()
+                    report = sample_mstd_proportion(n, samples, 5, workers=workers)
+                    reports.add(json.dumps(report.to_json()))
+                    if samples > 8 * chunk and per_task:
+                        assert splits == [nine[per_task]]
+        assert len(reports) == 1
+        assert report.total_examined == samples
 
 
 def _chunk_task(lo, hi, *tops):
@@ -608,7 +642,7 @@ def test_enum_chunk_matches_per_mask_recount(task):
     assert _subset_chunk(_chunk_task(lo, hi, d)) == expected
 
 
-@pytest.mark.parametrize("task", [(20, 5), (18, 8)])
+@pytest.mark.parametrize("task", [(24, 5), (18, 8)])
 def test_card_chunk_spans_batches_and_matches_recount(task):
     from itertools import combinations
 
@@ -861,13 +895,35 @@ def test_no_kernel_call_holds_more_than_the_cap(monkeypatch):
             yield batch
 
     monkeypatch.setattr(kernels, "_grow", recording)
+    # a table without a size limit holds half the cap
     total = exhaustive_by_diameter(21).total_examined
-    total += min_cardinality_scan(31, 6).total_examined
     total += sum(min_cardinality_scan(d, d + 1).total_examined for d in (19, 20))
     find_fill2_seeds(12)
     total += 1 << 21
-    assert max(sizes) == _BATCH
+    assert max(sizes) == _BATCH // 2
     assert sum(sizes) == total
+    # a bounded one as much of the cap as its size layers fill
+    sizes.clear()
+    assert min_cardinality_scan(31, 6).total_examined == sum(sizes)
+    assert _BATCH // 2 < max(sizes) <= _BATCH
+
+
+def test_bounded_walk_makes_few_batches(monkeypatch):
+    # a bounded walk's batches shrink with its depth, so its table takes the
+    # whole cap: a table of half of it made 2,842 batches here
+    sizes = []
+
+    def recording(*args):
+        for batch in _grow(*args):
+            sizes.append(batch[0].size)
+            yield batch
+
+    monkeypatch.setattr(kernels, "_grow", recording)
+    report = min_cardinality_scan(31, 7)
+    assert (report.total_examined, report.mstd_count, report.mdts_count,
+            report.balanced_count) == (942_649, 0, 940_664, 1_985)
+    assert sum(sizes) == report.total_examined
+    assert len(sizes) < 600
 
 
 def test_pinned_landscape_counts():
@@ -883,9 +939,13 @@ def test_pinned_landscape_counts():
 def test_search_reports_match_golden_file(monkeypatch):
     # cardinality scans past d = 31 take the big-integer path, which no
     # other test pins; the sampling reports pin each chunk's draw and the
-    # bit-sliced counts at n = 30, 40 and 200; the d = 18 scan is two tasks
-    # and the n = 30 sample three chunks, so both run in the pool
+    # bit-sliced counts at n = 30, 40 and 200; the d = 18 scan is two tasks,
+    # and the n = 30 sample, three chunks, is two tasks when a task takes at
+    # most two chunks, so both run in the pool
     seen = _pool_starts(monkeypatch)
+    with monkeypatch.context() as m:
+        m.setattr(kernels, "_BLOCK_BYTES", 2 * search._SAMPLE_CHUNK * 30)
+        pooled_sample = sample_mstd_proportion(30, 9000, 3, workers=2)
     reports = {
         "exhaustive_by_diameter(16)": exhaustive_by_diameter(16),
         "exhaustive_by_diameter(16, workers=2)": exhaustive_by_diameter(16, workers=2),
@@ -894,8 +954,7 @@ def test_search_reports_match_golden_file(monkeypatch):
         "min_cardinality_scan(34, 5)": min_cardinality_scan(34, 5),
         "min_cardinality_scan(40, 4)": min_cardinality_scan(40, 4),
         "sample_mstd_proportion(40, 5000, 7)": sample_mstd_proportion(40, 5000, 7),
-        "sample_mstd_proportion(30, 9000, 3, workers=2)":
-            sample_mstd_proportion(30, 9000, 3, workers=2),
+        "sample_mstd_proportion(30, 9000, 3, workers=2)": pooled_sample,
         "sample_mstd_proportion(200, 3000, 11)": sample_mstd_proportion(200, 3000, 11),
     }
     assert seen == [2, 2]
@@ -968,7 +1027,7 @@ def test_scans_of_different_task_counts_share_one_pool(monkeypatch):
     search._close_pool()
     try:
         for _ in range(3):
-            # four tasks, three tasks, then 25 sampling chunks
+            # four tasks, three tasks, then 25 sampling chunks in four tasks
             assert exhaustive_by_diameter(19, workers=4).total_examined == 1 << 19
             assert min_cardinality_scan(24, 7, workers=4).total_examined == 190_051
             assert sample_mstd_proportion(30, 10**5, 1, workers=4).total_examined == 10**5
