@@ -9,13 +9,13 @@ an element fewer, since (A | {x}) + (A | {x}) = (A + A) | (A + x) | {2x}.
 ``_grow`` takes the sets inside a request's first positions from a table
 built once per process and cached, adds the base elements to a copy of it,
 and then walks the other positions: each batch is the batch it came from
-with one position added, two shift-and-OR updates per word row. A table
-without a size limit (the exhaustive and seed scans) doubles once per
-position, to half of ``_BATCH``; one with a limit (cardinality scans) grows
-by size layers, each layer one gather of its parents' words from the layer
-before, so the sets within a smaller limit are a prefix of it. A bounded
-walk's batches shrink as it adds positions, so its table takes as many
-positions as ``_BATCH`` holds and leaves the walk few of them.
+with one position added, two shift-and-OR updates per word row. Every
+table grows by size layers, each layer one gather of its parents' words
+from the layer before, so the sets within a smaller limit are a prefix of
+it. A table of every subset of its positions (the exhaustive and seed
+scans) holds half of ``_BATCH``. A bounded walk's batches shrink as it
+adds positions, so its table takes as many positions as ``_BATCH`` holds
+and leaves the walk few of them.
 
 ``_subset_chunk`` is the one worker of both subset scans: a task is the
 sets that add at most a given number of free positions to fixed tops.
@@ -40,7 +40,7 @@ import math
 from bisect import bisect_left
 from functools import lru_cache
 from itertools import chain
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -88,31 +88,23 @@ def _grow(base: int, positions: Sequence[int], max_size: int
     over the other positions, in ``_split``'s order, then makes the batch
     of each set U of them from the batch of U without its lowest position,
     with two shift-and-OR updates per word row (``_add``). When the limit
-    leaves no position out, k = log2 ``_BATCH`` - 1, the table is in counter
-    order, and set i across the batches is the binary counter i over
-    ``positions`` (bit k of i stands for ``positions[k]``), in increasing
-    i. Otherwise k is the most positions whose subsets within the limit fit
-    ``_BATCH``, U's batch holds the T with |T| <= max_size - |U|, and those
-    come by |T| and then in colex order. A request of one batch is built
-    from ``base`` for the call alone, uncached. Every batch is a view of
-    buffers the call owns, overwritten by a later batch and read by the
-    batches walked from it, so do not write into one.
+    leaves no position out, k is at most log2 ``_BATCH`` - 1; otherwise it
+    is the most positions whose subsets within the limit fit ``_BATCH``.
+    U's batch holds the T with |T| <= max_size - |U|, by |T| and then in
+    colex order, and a request of one batch is its table and an empty walk.
+    Every batch is a view of buffers the call owns, overwritten by a later
+    batch and read by the batches walked from it, so do not write into one.
     """
     if max_size < 0:
         return
     m = len(positions)
     if max_size >= m:
-        k, limit = min(m, _BATCH.bit_length() - 2), None
+        k = min(m, _BATCH.bit_length() - 2)
     else:
         k = m
         while _subsets_up_to(k, min(max_size, k)) > _BATCH:
             k -= 1
-        limit = min(max_size, k)
-    if k == m:  # one batch, built from base for this call alone
-        words = _words(base, positions, limit)
-        yield words[0], words[2], words[3]
-        return
-    table = _table(tuple(positions[:k]), limit)
+    table = _table(tuple(positions[:k]), min(max_size, k))
     walked = positions[k:]
     depth = min(max_size, len(walked))
     # the batch at depth j holds the sets of the table with |T| <= max_size - j
@@ -143,33 +135,21 @@ def _grow(base: int, positions: Sequence[int], max_size: int
         yield _finish(table, out, fixed[j], buffer)
 
 
-def _words(base: int, positions: Sequence[int], limit: Optional[int]) -> np.ndarray:
-    """The (bits, reversed bits, sums, pdiffs) rows of the sets base | T, T
-    inside ``positions``.
-
-    With no ``limit`` they are every T in counter order. Otherwise they are
-    the T with |T| <= limit, by |T| and then in colex order, so those with
-    |T| <= r are the first ``_subsets_up_to(len(positions), r)``. The
-    reversed bits hold bit 31 - a for each element a, so that the
-    differences x - a come from one shift.
-    """
-    m = len(positions)
-    words = np.empty((4, _subsets_up_to(m, m if limit is None else limit)), dtype=np.uint64)
-    words[:, 0] = (base, sum(1 << (_WORD_WIDTH - 1 - a) for a in _elements(base)),
-                   *_set_words(base))
-    shifts = np.array([positions, [_WORD_WIDTH - 1 - x for x in positions]], dtype=np.uint64)
-    if limit is None:
-        _grow_batch(words, shifts)
-    else:
-        _layer_batch(words, shifts, limit)
-    return words
-
-
 @lru_cache(maxsize=4)
-def _table(positions: tuple[int, ...], limit: Optional[int]) -> np.ndarray:
-    """``_words`` of the sets T inside ``positions``, read-only: the table a
-    walk grows its batches from."""
-    words = _words(0, positions, limit)
+def _table(positions: tuple[int, ...], limit: int) -> np.ndarray:
+    """The (bits, reversed bits, sums, pdiffs) rows of the sets T inside
+    ``positions`` with |T| <= limit, read-only: the table a walk grows its
+    batches from.
+
+    They come by |T| and then in colex order, so those with |T| <= r are
+    the first ``_subsets_up_to(len(positions), r)``. The reversed bits hold
+    bit 31 - a for each element a, so that the differences x - a come from
+    one shift.
+    """
+    words = np.empty((4, _subsets_up_to(len(positions), limit)), dtype=np.uint64)
+    words[:, 0] = 0  # the empty set
+    shifts = np.array([positions, [_WORD_WIDTH - 1 - x for x in positions]], dtype=np.uint64)
+    _layer_batch(words, shifts, limit)
     words.flags.writeable = False
     return words
 
@@ -203,29 +183,6 @@ def _finish(table: np.ndarray, level: np.ndarray, fixed: int, bits: np.ndarray
     return bits[:n], level[0], level[1]
 
 
-def _grow_batch(w: np.ndarray, shifts: np.ndarray) -> None:
-    """Fill ``w`` with every set S | T, T inside the positions, level by
-    level, from the set S in column 0.
-
-    Level k appends, for each set so far, the set with x = position k
-    added. From (A | {x}) + (A | {x}) = (A + A) | (A + x) | {2x}, its words
-    cost eight word operations in five ufunc calls, with pairs of rows
-    updated together.
-    """
-    marks = np.left_shift(np.uint64(1), shifts)
-    n = 1
-    for level in range(shifts.shape[1]):
-        src, new = slice(0, n), slice(n, 2 * n)
-        shift = shifts[:, level:level + 1]
-        np.bitwise_or(w[:2, src], marks[:, level:level + 1], out=w[:2, new])
-        # scratch: sums row <- a - x for a >= x, differences row <- x - a for a <= x
-        np.right_shift(w[:2, new], shift, out=w[2:, new])
-        np.bitwise_or(w[3, new], w[2, new], out=w[3, new])
-        np.left_shift(w[0, new], shift[0], out=w[2, new])  # a + x
-        np.bitwise_or(w[2:, src], w[2:, new], out=w[2:, new])
-        n *= 2
-
-
 @lru_cache(maxsize=64)
 def _plan(m: int, limit: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Per layer j < ``limit``, the (source, position) indices that build layer j + 1.
@@ -233,13 +190,16 @@ def _plan(m: int, limit: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     Layer j lists the j-subsets of range(m) in colex order, so those inside
     range(k) are its first C(k, j). Layer j + 1 is, for k = j, ..., m - 1,
     each of those with k added: entry i takes set ``source[i]`` of layer j
-    and adds position ``position[i]``.
+    and adds position ``position[i]``. The arrays are cached, so read-only.
     """
     layers = []
     for j in range(limit):
         counts = [math.comb(k, j) for k in range(j, m)]
-        layers.append((np.concatenate([np.arange(c) for c in counts]),
-                       np.repeat(np.arange(j, m), counts)))
+        layer = (np.concatenate([np.arange(c) for c in counts]),
+                 np.repeat(np.arange(j, m), counts))
+        for indices in layer:
+            indices.flags.writeable = False
+        layers.append(layer)
     return tuple(layers)
 
 
@@ -248,8 +208,9 @@ def _layer_batch(w: np.ndarray, shifts: np.ndarray, limit: int) -> None:
     limit, layer by layer in |T|, from the set S in column 0.
 
     Each layer is one gather of its parents' four words from the layer
-    before, then the word updates of ``_grow_batch`` with a shift per set,
-    so it costs a few numpy calls per layer, not per position.
+    before, then its new position x and, from (A | {x}) + (A | {x}) =
+    (A + A) | (A + x) | {2x}, x's sums and differences, with a shift per
+    set, so it costs a few numpy calls per layer, not per position.
     """
     one = np.uint64(1)
     start, stop = 0, 1

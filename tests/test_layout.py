@@ -1,7 +1,7 @@
 """Rules on the package source: which modules may import numpy and the kernels,
-that only ``intset`` reads ``IntegerSet``'s representation, no ``assert``
-statements, which functions may raise ``AssertionError``, and which read
-the run-smear width cap."""
+that no module imports a name it never uses, that only ``intset`` reads
+``IntegerSet``'s representation, no ``assert`` statements, which functions
+may raise ``AssertionError``, and which read the run-smear width cap."""
 
 import ast
 
@@ -28,6 +28,24 @@ def test_only_kernels_imports_numpy_and_only_search_imports_kernels():
     assert {"kernels", "search", "intset"} <= modules.keys()
     assert {m for m, names in modules.items() if "numpy" in names} == {"kernels"}
     assert {m for m, names in modules.items() if "kernels" in names} == {"search"}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__ imports its names to export them
+    found = []
+    for path in sorted((REPO / "src" / "mstd_chains").glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found += [f"{path.name}:{node.lineno} {bound}"
+                          for alias in node.names
+                          if (bound := (alias.asname or alias.name).split(".")[0]) not in used]
+    assert found == []
 
 
 _REPRESENTATION = {"_els", "_bits", "_offset", "_from_sorted", "_from_bits",

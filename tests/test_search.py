@@ -4,7 +4,7 @@ import math
 import os
 import time
 import tracemalloc
-from itertools import combinations
+from itertools import chain, combinations
 from types import SimpleNamespace
 
 import numpy as np
@@ -760,16 +760,18 @@ def _counter_order(base, positions, max_size=None):
 
 
 def test_grow_matches_referee_on_every_small_set():
+    # batches come by size, so compare as sorted lists, which still differ
+    # on a missing, extra or repeated set
     for d in range(13):
         # the empty set has no differences, so start from the set {0}
-        assert _grown(1, range(1, d + 1)) == _counter_order(1, range(1, d + 1))
+        assert sorted(_grown(1, range(1, d + 1))) == sorted(_counter_order(1, range(1, d + 1)))
         # an element in the middle, free positions on both sides of it
         mid = d // 2
         free = [p for p in range(d + 1) if p != mid]
-        assert _grown(1 << mid, free) == _counter_order(1 << mid, free)
+        assert sorted(_grown(1 << mid, free)) == sorted(_counter_order(1 << mid, free))
     # sets without 0: positions above and below a two-element base
     free = [0, 1, 2, 4, 6, 7, 9, 10, 11]
-    assert _grown(1 << 3 | 1 << 8, free) == _counter_order(1 << 3 | 1 << 8, free)
+    assert sorted(_grown(1 << 3 | 1 << 8, free)) == sorted(_counter_order(1 << 3 | 1 << 8, free))
 
 
 def _size_colex_order(base, positions, max_size):
@@ -788,10 +790,10 @@ def test_grow_max_size_yields_size_then_colex_order():
     base = 1 | 1 << 5 | 1 << d
     free = [p for p in range(d + 1) if not (base >> p) & 1]
     for max_size in range(d + 1):
-        # a limit that leaves no position out is the unbounded request
-        expected = (_size_colex_order(base, free, max_size) if max_size < len(free)
-                    else _counter_order(base, free))
-        assert _grown(base, free, max_size) == expected
+        # past len(free) the limit leaves no position out, and the order is
+        # the same: the walk's batches take prefixes of it by size
+        assert _grown(base, free, max_size) == _size_colex_order(
+            base, free, min(max_size, len(free)))
     assert _grown(base, free, -1) == []
 
 
@@ -800,12 +802,12 @@ def test_grow_at_full_width_does_not_overflow():
     free = list(range(1, 31, 2)) + [31]
     assert _grown(1, free, 3) == _size_colex_order(1, free, 3)
     free = [0, 30, 29, 1]
-    assert _grown(1 << 31, free) == _counter_order(1 << 31, free)
+    assert sorted(_grown(1 << 31, free)) == sorted(_counter_order(1 << 31, free))
 
 
 def test_grow_split_matches_unsplit(monkeypatch):
     base, free = 1 | 1 << 17, list(range(1, 17))
-    whole = _grown(base, free)
+    whole = sorted(_grown(base, free))
     limited = sorted(_grown(base, free, 6))
     assert limited == sorted(_counter_order(base, free, 6))
     tasks = [_chunk_task(0, 1 << 14, 17), _chunk_task(1 << 14, 1 << 15, 17),
@@ -813,9 +815,9 @@ def test_grow_split_matches_unsplit(monkeypatch):
     chunks = [_subset_chunk(task) for task in tasks]
     seeds = find_fill2_seeds(9)
     monkeypatch.setattr(kernels, "_BATCH", 1 << 5)
-    assert _grown(base, free) == whole
-    # bounded batches are ordered by size within each batch, so compare as
-    # sorted lists, which still differ on a missing, extra or repeated set
+    # batches are ordered by size within each batch, so compare as sorted
+    # lists, which still differ on a missing, extra or repeated set
+    assert sorted(_grown(base, free)) == whole
     assert sorted(_grown(base, free, 6)) == limited
     assert [_subset_chunk(task) for task in tasks] == chunks
     assert find_fill2_seeds(9) == seeds
@@ -835,15 +837,18 @@ def test_walk_matches_referee(batch, monkeypatch):
         (1 << 30, [0, 2, 5, 6, 8, 9, 13, 17, 18]),
     ]
     for base, free in cases:
-        assert _grown(base, free) == _counter_order(base, free)
+        # batches come by size, so compare as sorted lists
+        assert sorted(_grown(base, free)) == sorted(_counter_order(base, free))
         for max_size in (0, 1, 2, 4, 7, len(free) - 1):
-            # bounded batches come by size, so compare as sorted lists
             assert sorted(_grown(base, free, max_size)) == sorted(
                 _counter_order(base, free, max_size)), (base, free, max_size)
-    for table in (kernels._table(tuple(free[:3]), None), kernels._table(tuple(free[:3]), 2)):
-        assert not table.flags.writeable
+    # the cached tables and the index arrays that build them
+    cached = [kernels._table(tuple(free[:3]), 3), kernels._table(tuple(free[:3]), 2),
+              *chain.from_iterable(kernels._plan(5, 3))]
+    for array in cached:
+        assert not array.flags.writeable
         with pytest.raises(ValueError):
-            table[0, 0] = 1
+            array[0] = 1
 
 
 def test_writing_into_a_batch_leaves_the_next_scan_alone(monkeypatch):
@@ -885,8 +890,8 @@ def test_repeated_scans_hold_no_buffers():
 
 
 def test_no_kernel_call_holds_more_than_the_cap(monkeypatch):
-    # every batch of every scan comes from _grow, whose tables _grow_batch
-    # and _layer_batch build
+    # every batch of every scan comes from _grow, from a table _layer_batch
+    # builds and a walk over it
     sizes = []
 
     def recording(*args):
@@ -895,7 +900,7 @@ def test_no_kernel_call_holds_more_than_the_cap(monkeypatch):
             yield batch
 
     monkeypatch.setattr(kernels, "_grow", recording)
-    # a table without a size limit holds half the cap
+    # a table of every subset of its positions holds half the cap
     total = exhaustive_by_diameter(21).total_examined
     total += sum(min_cardinality_scan(d, d + 1).total_examined for d in (19, 20))
     find_fill2_seeds(12)
