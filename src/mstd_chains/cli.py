@@ -60,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_chain.add_argument("--mode", choices=("strict", "generalized"),
                          default="strict", help="condition mode (thm31)")
     p_chain.add_argument("--steps", type=int, required=True,
-                         help="number of chain steps, >= 1")
+                         help="number of chain steps, >= 1 (>= 2 with --verify)")
     p_chain.add_argument("--format", choices=("ascii", "csv", "json"),
                          default="ascii")
     p_chain.add_argument("--verify", action="store_true",
@@ -137,6 +137,8 @@ _CHAIN_METHODS = {
 def _cmd_chain(args, parser: argparse.ArgumentParser) -> int:
     if args.steps < 1:
         parser.error("--steps must be >= 1")
+    if args.verify and args.steps < 2:
+        parser.error("--verify needs --steps >= 2")
     reads, generate = _CHAIN_METHODS[args.method]
     known = dict.fromkeys(dest for dests, _ in _CHAIN_METHODS.values() for dest in dests)
     given = [dest for dest in known if getattr(args, dest) not in (None, "strict")]

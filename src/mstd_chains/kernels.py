@@ -10,9 +10,10 @@ an element fewer, since (A | {x}) + (A | {x}) = (A + A) | (A + x) | {2x}.
 built once per process and cached, adds the base elements to a copy of it,
 and then walks the other positions: each batch is the batch it came from
 with one position added, two shift-and-OR updates per word row. Every
-table grows by size layers, each layer one gather of its parents' words
-from the layer before, so the sets within a smaller limit are a prefix of
-it. A table of every subset of its positions (the exhaustive and seed
+table grows by size layers, each set from its parent in the layer before
+by the same step, so the sets within a smaller limit are a prefix of it
+and ``_add`` is the only numpy code that adds a position's pairs with a
+set. A table of every subset of its positions (the exhaustive and seed
 scans) holds half of ``_BATCH``. A bounded walk's batches shrink as it
 adds positions, so its table takes as many positions as ``_BATCH`` holds
 and leaves the walk few of them.
@@ -144,12 +145,28 @@ def _table(positions: tuple[int, ...], limit: int) -> np.ndarray:
     They come by |T| and then in colex order, so those with |T| <= r are
     the first ``_subsets_up_to(len(positions), r)``. The reversed bits hold
     bit 31 - a for each element a, so that the differences x - a come from
-    one shift.
+    one shift. Layer j lists the j-subsets in colex order, so those inside
+    the first k positions are its first C(k, j), and layer j + 1 is, for k
+    from j on, each of those with position k added by the walk's own step:
+    k's own words (its bit, reversed bit, sum and difference), then
+    ``_add`` for its pairs with T.
     """
-    words = np.empty((4, _subsets_up_to(len(positions), limit)), dtype=np.uint64)
+    m = len(positions)
+    words = np.empty((4, _subsets_up_to(m, limit)), dtype=np.uint64)
     words[:, 0] = 0  # the empty set
-    shifts = np.array([positions, [_WORD_WIDTH - 1 - x for x in positions]], dtype=np.uint64)
-    _layer_batch(words, shifts, limit)
+    own = np.array([(1 << x, 1 << (_WORD_WIDTH - 1 - x), *_set_words(1 << x))
+                    for x in positions], dtype=np.uint64).T
+    scratch = np.empty(words.shape[1], dtype=np.uint64)
+    start, stop = 0, 1  # the columns of layer j
+    for j in range(limit):
+        end = stop
+        for k in range(j, m):
+            parent = words[:, start:start + math.comb(k, j)]
+            out = words[:, end:end + parent.shape[1]]
+            np.bitwise_or(parent, own[:, k:k + 1], out=out)
+            _add(parent, out[2:], out[2:], positions[k], scratch)
+            end += parent.shape[1]
+        start, stop = stop, end
     words.flags.writeable = False
     return words
 
@@ -158,6 +175,7 @@ def _add(table: np.ndarray, parent: np.ndarray, out: np.ndarray, x: int,
          scratch: np.ndarray) -> None:
     """The sums and pdiffs of each set of ``parent`` with x added, into
     ``out``, which may be ``parent``: the pairs of x and the table's set T.
+    The walk's step, and ``_table``'s for each new layer.
 
     From (S | {x}) + (S | {x}) = (S + S) | (S + x) | {2x}, that is two
     shift-and-OR updates per word row; x's pairs with the elements outside
@@ -181,51 +199,6 @@ def _finish(table: np.ndarray, level: np.ndarray, fixed: int, bits: np.ndarray
     np.bitwise_or(level, np.array(_set_words(fixed), dtype=np.uint64)[:, None], out=level)
     np.bitwise_or(table[0, :n], fixed, out=bits[:n])
     return bits[:n], level[0], level[1]
-
-
-@lru_cache(maxsize=64)
-def _plan(m: int, limit: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Per layer j < ``limit``, the (source, position) indices that build layer j + 1.
-
-    Layer j lists the j-subsets of range(m) in colex order, so those inside
-    range(k) are its first C(k, j). Layer j + 1 is, for k = j, ..., m - 1,
-    each of those with k added: entry i takes set ``source[i]`` of layer j
-    and adds position ``position[i]``. The arrays are cached, so read-only.
-    """
-    layers = []
-    for j in range(limit):
-        counts = [math.comb(k, j) for k in range(j, m)]
-        layer = (np.concatenate([np.arange(c) for c in counts]),
-                 np.repeat(np.arange(j, m), counts))
-        for indices in layer:
-            indices.flags.writeable = False
-        layers.append(layer)
-    return tuple(layers)
-
-
-def _layer_batch(w: np.ndarray, shifts: np.ndarray, limit: int) -> None:
-    """Fill ``w`` with the sets S | T, T inside the positions with |T| <=
-    limit, layer by layer in |T|, from the set S in column 0.
-
-    Each layer is one gather of its parents' four words from the layer
-    before, then its new position x and, from (A | {x}) + (A | {x}) =
-    (A + A) | (A + x) | {2x}, x's sums and differences, with a shift per
-    set, so it costs a few numpy calls per layer, not per position.
-    """
-    one = np.uint64(1)
-    start, stop = 0, 1
-    for source, position in _plan(shifts.shape[1], limit):
-        new = w[:, stop:stop + source.size]
-        np.take(w[:, start:stop], source, axis=1, out=new, mode="clip")
-        shift = np.take(shifts, position, axis=1, mode="clip")
-        scratch = np.left_shift(one, shift)  # first the bits of x and of 31 - x
-        np.bitwise_or(new[:2], scratch, out=new[:2])
-        # scratch <- a - x for a >= x, and x - a for a <= x
-        np.right_shift(new[:2], shift, out=scratch)
-        np.bitwise_or(scratch[1], scratch[0], out=scratch[1])
-        np.left_shift(new[0], shift[0], out=scratch[0])  # a + x
-        np.bitwise_or(new[2:], scratch, out=new[2:])
-        start, stop = stop, stop + source.size
 
 
 def _grow_tally(sums: np.ndarray, pdiffs: np.ndarray) -> tuple[np.ndarray, int, int]:
@@ -365,16 +338,6 @@ def _pair_counts(x: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
     diffs += diffs
     diffs -= nonempty
     return _column_counts(sums, count).astype(np.int16), diffs
-
-
-def _slice_counts(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(|A+A|, |A-A|) of each row of a (count, n) 0/1 ``uint8`` membership
-    matrix, row k the set of positions a with ``rows[k, a]`` = 1: the rows
-    bit-sliced (``_bit_slices``), then counted by ``_pair_counts``."""
-    count, n = rows.shape
-    x = np.zeros((n, 8 * -(-count // 64)), dtype=np.uint8)
-    _bit_slices(rows, x)
-    return _pair_counts(x.view(np.uint64), count)
 
 
 def _sample_rows(seed: int, chunk_index: int, count: int, n: int) -> np.ndarray:

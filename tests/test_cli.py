@@ -63,7 +63,9 @@ def test_chain_zero_steps_is_usage_error(capsys):
     (["--method", "thm31", "--L", "0,1,2,5,8", "--steps", "3"],
      ["thm31 needs --R, --n, --m"]),
     (["--method", "warp", "--steps", "3"], ["--method", "invalid choice: 'warp'"]),
-], ids=["fill1", "fill2", "nonfill", "thm31", "warp"])
+    # a one-step chain has no transition to verify: refused before generating
+    (["--method", "nonfill", "--steps", "1", "--verify"], ["--verify needs --steps >= 2"]),
+], ids=["fill1", "fill2", "nonfill", "thm31", "warp", "verify-one-step"])
 def test_chain_missing_params_is_precondition_error(capsys, argv, named):
     code, out, err = run(capsys, "chain", *argv)
     assert code == 2

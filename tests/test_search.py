@@ -4,7 +4,7 @@ import math
 import os
 import time
 import tracemalloc
-from itertools import chain, combinations
+from itertools import combinations
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,8 +15,8 @@ from mstd_chains import (Classification, IntegerSet, InvalidParameterError,
                          fill2_chain, find_fill2_seeds, min_cardinality_scan,
                          oracle_profile, profile, sample_mstd_proportion,
                          kernels, search, wilson_interval)
-from mstd_chains.kernels import (_BATCH, _grow, _sample_chunk, _sample_rows, _set_words,
-                                 _slice_counts, _subset_chunk)
+from mstd_chains.kernels import (_BATCH, _bit_slices, _grow, _pair_counts, _sample_chunk,
+                                 _sample_rows, _set_words, _subset_chunk)
 from mstd_chains.cli import cli_main
 
 from .conftest import CONWAY, FILL2_L, FILL2_R, REPO, run_python
@@ -507,6 +507,16 @@ def _membership(masks, n):
     return ((np.asarray(masks)[:, None] >> np.arange(n)) & 1).astype(np.uint8)
 
 
+def _slice_counts(rows):
+    """(|A+A|, |A-A|) of each row of a (count, n) 0/1 ``uint8`` membership
+    matrix: the rows bit-sliced by ``_bit_slices``, then counted by
+    ``_pair_counts``, as a sampling task does."""
+    count, n = rows.shape
+    x = np.zeros((n, 8 * -(-count // 64)), dtype=np.uint8)
+    _bit_slices(rows, x)
+    return _pair_counts(x.view(np.uint64), count)
+
+
 def test_slice_counts_match_oracle_on_every_small_set():
     for n in range(1, 14):
         sums, diffs = _slice_counts(_membership(np.arange(1 << n), n))
@@ -823,6 +833,38 @@ def test_grow_split_matches_unsplit(monkeypatch):
     assert find_fill2_seeds(9) == seeds
 
 
+def _table_rows(positions, limit):
+    """The (bits, reversed bits, sums, pdiffs) columns of ``kernels._table``,
+    from Python integers: every T with |T| <= limit, by |T| and then by its
+    mask over position indices; bit i of a sum row is the sum i and bit i of
+    a pdiffs row the difference i >= 0."""
+    columns = []
+    for mask in sorted(range(1 << len(positions)), key=lambda mask: (mask.bit_count(), mask)):
+        if mask.bit_count() > limit:
+            continue
+        t = [p for k, p in enumerate(positions) if (mask >> k) & 1]
+        columns.append((sum(1 << a for a in t), sum(1 << (31 - a) for a in t),
+                        sum(1 << v for v in {a + b for a in t for b in t}),
+                        sum(1 << v for v in {b - a for a in t for b in t if b >= a})))
+    return [list(row) for row in zip(*columns)]
+
+
+def test_table_layout_matches_referee():
+    for positions in [tuple(range(5, 14)),  # contiguous
+                      (20, 3, 17, 8, 26, 11, 1),  # unsorted
+                      (31, 4, 0, 15, 9, 22, 30, 2)]:  # holding 0 and 31
+        m = len(positions)
+        for limit in range(m + 1):
+            table = kernels._table(positions, limit)
+            assert table.dtype == np.uint64
+            assert table.shape == (4, search._subsets_up_to(m, limit))
+            assert table.tolist() == _table_rows(positions, limit), (positions, limit)
+            # the sets within a smaller limit are a prefix, as the walk reads them
+            for r in range(limit):
+                assert np.array_equal(kernels._table(positions, r),
+                                      table[:, :search._subsets_up_to(m, r)]), (positions, r)
+
+
 @pytest.mark.parametrize("batch", [1 << 3, 1 << 5])
 def test_walk_matches_referee(batch, monkeypatch):
     # a small _BATCH makes every request a table of a few positions and a
@@ -842,10 +884,8 @@ def test_walk_matches_referee(batch, monkeypatch):
         for max_size in (0, 1, 2, 4, 7, len(free) - 1):
             assert sorted(_grown(base, free, max_size)) == sorted(
                 _counter_order(base, free, max_size)), (base, free, max_size)
-    # the cached tables and the index arrays that build them
-    cached = [kernels._table(tuple(free[:3]), 3), kernels._table(tuple(free[:3]), 2),
-              *chain.from_iterable(kernels._plan(5, 3))]
-    for array in cached:
+    # the cached tables
+    for array in (kernels._table(tuple(free[:3]), 3), kernels._table(tuple(free[:3]), 2)):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 1
@@ -890,8 +930,8 @@ def test_repeated_scans_hold_no_buffers():
 
 
 def test_no_kernel_call_holds_more_than_the_cap(monkeypatch):
-    # every batch of every scan comes from _grow, from a table _layer_batch
-    # builds and a walk over it
+    # every batch of every scan comes from _grow, from a cached table and a
+    # walk over it
     sizes = []
 
     def recording(*args):
