@@ -31,7 +31,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .constructions import (_check_fringe_seed, _hole_interval, _interval_plus_point,
                             _nathanson_set, _nonfill_add_point, _nonfill_mstd,
                             thm31_base)
-from .errors import ChainBreakError, InvalidParameterError
+from .errors import ArithmeticRangeError, ChainBreakError, InvalidParameterError
 from .intset import (Classification, IntegerSet, SetProfile, _integers, _sets,
                      affine, classify, profile)
 from . import search
@@ -98,10 +98,12 @@ def chain_to_json(record: ChainRecord) -> str:
     return json.dumps(rows, indent=2)
 
 
-def _json_int(row: dict, key: str) -> int:
+def _json_int(row: dict, key: str, least: Optional[int] = None) -> int:
     value = row[key]
     if type(value) is not int:  # bool is an int subclass; JSON true is not a count
         raise InvalidParameterError(f"{key!r} must be a JSON integer, got {value!r}")
+    if least is not None and value < least:
+        raise InvalidParameterError(f"{key!r} must be >= {least}, got {value}")
     return value
 
 
@@ -109,9 +111,10 @@ def chain_from_json(text: str, no_fill_in_required: bool = False) -> ChainRecord
     """Rebuild a chain from its JSON array form.
 
     Elements and the ``index``, ``card``, ``diam``, ``sums`` and ``diffs``
-    fields must be JSON integers. Stored counts and classifications are
-    kept as read, not recomputed, so verification can catch records that
-    disagree with their own elements.
+    fields must be JSON integers, ``card`` at least 1 and the other counts
+    at least 0. Stored counts and classifications are kept as read, not
+    recomputed, so verification can catch records that disagree with their
+    own elements.
     """
     try:
         rows = json.loads(text)
@@ -124,13 +127,15 @@ def chain_from_json(text: str, no_fill_in_required: bool = False) -> ChainRecord
     for i, row in enumerate(rows):
         try:
             elements = IntegerSet(row["elements"])
-            counts = SetProfile.from_counts(_json_int(row, "card"), _json_int(row, "diam"),
-                                            _json_int(row, "sums"), _json_int(row, "diffs"))
+            counts = SetProfile.from_counts(_json_int(row, "card", 1), _json_int(row, "diam", 0),
+                                            _json_int(row, "sums", 0), _json_int(row, "diffs", 0))
             stored = replace(counts, classification=Classification(row["classification"]))
             index = _json_int(row, "index") if "index" in row else i + 1
             steps.append(ChainStep(index=index, set=elements, profile=stored))
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidParameterError(f"chain JSON: step {i + 1}: {exc}") from None
+        except ArithmeticRangeError as exc:
+            raise ArithmeticRangeError(f"chain JSON: step {i + 1}: {exc}") from None
     return ChainRecord(method=None, steps=tuple(steps),
                        no_fill_in_required=no_fill_in_required)
 

@@ -124,16 +124,6 @@ def mdts_interval_plus_point(m: int, p: int) -> tuple[IntegerSet, int]:
     return out, surplus
 
 
-def _max_missing_run(middle: IntegerSet, lo: int, hi: int) -> int:
-    """Longest run of integers in [lo, hi] absent from ``middle``.
-
-    The window borders count as present, matching how the blocks on either
-    side of the window are filled in by the construction.
-    """
-    pts = [lo - 1] + [e for e in middle] + [hi + 1]
-    return max(b - a - 1 for a, b in zip(pts, pts[1:]))
-
-
 def _check_fringe_seed(L: IntegerSet, R: IntegerSet, n: int, who: str) -> IntegerSet:
     """Return L | R after checking the fringe-seed hypotheses of ``miller_mstd``.
 
@@ -182,7 +172,7 @@ def miller_mstd(L: IntegerSet, R: IntegerSet, n: int, k: int, m: int,
             raise InvalidParameterError("miller_mstd: middle must lie inside [n+k+1, n+k+m]")
         if (n + k + 1) in middle:
             raise InvalidParameterError("miller_mstd: n+k+1 must not be in middle")
-    if _max_missing_run(middle, n + k + 1, n + k + m) > k:
+    if max(map(len, _gaps(middle, n + k + 1, n + k + m)), default=0) > k:
         raise InvalidParameterError(
             "miller_mstd: middle leaves a run of more than k missing elements"
         )

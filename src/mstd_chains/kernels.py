@@ -3,20 +3,21 @@
 The package's only numpy module; only the search drivers import it, before
 they start a worker pool, so every other command runs without numpy.
 
-A set inside [0, 32) is one ``uint64`` word, and so are its sum and
-difference words. The subset and seed scans build each set from one with
-an element fewer, since (A | {x}) + (A | {x}) = (A + A) | (A + x) | {2x}.
-``_grow`` takes the sets inside a request's first positions from a table
-built once per process and cached, adds the base elements to a copy of it,
-and then walks the other positions: each batch is the batch it came from
-with one position added, two shift-and-OR updates per word row. Every
-table grows by size layers, each set from its parent in the layer before
-by the same step, so the sets within a smaller limit are a prefix of it
-and ``_add`` is the only numpy code that adds a position's pairs with a
-set. A table of every subset of its positions (the exhaustive and seed
-scans) holds half of ``_BATCH``. A bounded walk's batches shrink as it
-adds positions, so its table takes as many positions as ``_BATCH`` holds
-and leaves the walk few of them.
+A set inside [0, 32) is one ``uint64`` word, and so are its reversed
+bits and its sum and difference words. The subset and seed scans build
+each set from one with an element fewer, since (A | {x}) + (A | {x}) =
+(A + A) | ((A | {x}) + x): ``_add`` ORs x's bits into a set's rows and
+shifts the new bits each way, and it is the only numpy code that adds a
+position to a set. ``_grow`` takes the sets inside a request's first
+positions from a table built once per process and cached, adds the base
+elements to a copy of it, and then walks the other positions: each batch
+is the batch it came from with one position added. Every table grows by
+size layers, each set from its parent in the layer before by the same
+step, so the sets within a smaller limit are a prefix of it. A table of
+every subset of its positions (the exhaustive and seed scans) holds half
+of ``_BATCH``. A bounded walk's batches shrink as it adds positions, so
+its table takes as many positions as ``_BATCH`` holds and leaves the
+walk few of them.
 
 ``_subset_chunk`` is the one worker of both subset scans: a task is the
 sets that add at most a given number of free positions to fixed tops.
@@ -61,8 +62,9 @@ _BLOCK_BYTES = 1 << 20
 
 
 def _set_words(bits: int) -> tuple[int, int]:
-    """The (sums, pdiffs) words, as in a ``_grow`` batch, of the set encoded
-    by ``bits`` (bit i = element i): one shift of ``bits`` per element."""
+    """The (sums, pdiffs) words of the set encoded by ``bits`` (bit i =
+    element i), at any width: one shift of ``bits`` per element. The kernel
+    of a set with an element past the word width."""
     sums = pdiffs = 0
     rest = bits
     while rest:
@@ -87,10 +89,11 @@ def _grow(base: int, positions: Sequence[int], max_size: int
     The sets T inside the first k positions come from a cached ``_table``,
     and the base elements are added to a copy of it once per call. A walk
     over the other positions, in ``_split``'s order, then makes the batch
-    of each set U of them from the batch of U without its lowest position,
-    with two shift-and-OR updates per word row (``_add``). When the limit
-    leaves no position out, k is at most log2 ``_BATCH`` - 1; otherwise it
-    is the most positions whose subsets within the limit fit ``_BATCH``.
+    of each set U of them from the batch of U without its lowest position
+    (``_add``); a batch holds the table's four rows, and the yielded bits,
+    sums and pdiffs are three of them. When the limit leaves no position
+    out, k is at most log2 ``_BATCH`` - 1; otherwise it is the most
+    positions whose subsets within the limit fit ``_BATCH``.
     U's batch holds the T with |T| <= max_size - |U|, by |T| and then in
     colex order, and a request of one batch is its table and an empty walk.
     Every batch is a view of buffers the call owns, overwritten by a later
@@ -114,26 +117,24 @@ def _grow(base: int, positions: Sequence[int], max_size: int
     # batch grown from it, which adds the position just below its lowest,
     # overwrites it, so level l only ever holds batches of depth l or more
     held = sizes[:1 + min(depth, len(walked) // 2)]
-    buffer = np.empty(2 * sum(held) + sizes[0], dtype=np.uint64)
+    buffer = np.empty(4 * sum(held) + sizes[0], dtype=np.uint64)
     levels = []
     for size in held:
-        levels.append(buffer[:2 * size].reshape(2, size))
-        buffer = buffer[2 * size:]
-    np.copyto(levels[0], table[2:])
+        levels.append(buffer[:4 * size].reshape(4, size))
+        buffer = buffer[4 * size:]
+    np.copyto(levels[0], table)
     for b in _elements(base):
-        _add(table, levels[0], levels[0], b, buffer)
-    yield _finish(table, levels[0], base, buffer)
-    fixed = [base] * (depth + 1)  # base | U at each depth of the walk
+        _add(levels[0], levels[0], b, buffer)
+    yield levels[0][0], levels[0][2], levels[0][3]
     at = [0] * (depth + 1)  # the level of the batch at each depth
     for u in _peel(0, range(len(walked)), 0, len(walked), depth):
         i = (u & -u).bit_length() - 1  # the position that u's parent lacks
         j = u.bit_count()
-        fixed[j] = fixed[j - 1] | 1 << walked[i]
         # the parent's level if u's next position up is the parent's lowest
         at[j] = at[j - 1] + (not (u | 1 << len(walked)) >> (i + 1) & 1)
         out = levels[at[j]][:, :sizes[j]]
-        _add(table, levels[at[j - 1]], out, walked[i], buffer)
-        yield _finish(table, out, fixed[j], buffer)
+        _add(levels[at[j - 1]], out, walked[i], buffer)
+        yield out[0], out[2], out[3]
 
 
 @lru_cache(maxsize=4)
@@ -143,62 +144,47 @@ def _table(positions: tuple[int, ...], limit: int) -> np.ndarray:
     batches from.
 
     They come by |T| and then in colex order, so those with |T| <= r are
-    the first ``_subsets_up_to(len(positions), r)``. The reversed bits hold
-    bit 31 - a for each element a, so that the differences x - a come from
-    one shift. Layer j lists the j-subsets in colex order, so those inside
-    the first k positions are its first C(k, j), and layer j + 1 is, for k
-    from j on, each of those with position k added by the walk's own step:
-    k's own words (its bit, reversed bit, sum and difference), then
-    ``_add`` for its pairs with T.
+    the first ``_subsets_up_to(len(positions), r)``. Layer j lists the
+    j-subsets in colex order, so those inside the first k positions are
+    its first C(k, j), and layer j + 1 is, for k from j on, each of those
+    with position k added by the walk's own step, ``_add``, which gives
+    each {x} its words from the empty set's zeros.
     """
     m = len(positions)
     words = np.empty((4, _subsets_up_to(m, limit)), dtype=np.uint64)
     words[:, 0] = 0  # the empty set
-    own = np.array([(1 << x, 1 << (_WORD_WIDTH - 1 - x), *_set_words(1 << x))
-                    for x in positions], dtype=np.uint64).T
     scratch = np.empty(words.shape[1], dtype=np.uint64)
     start, stop = 0, 1  # the columns of layer j
     for j in range(limit):
         end = stop
         for k in range(j, m):
             parent = words[:, start:start + math.comb(k, j)]
-            out = words[:, end:end + parent.shape[1]]
-            np.bitwise_or(parent, own[:, k:k + 1], out=out)
-            _add(parent, out[2:], out[2:], positions[k], scratch)
+            _add(parent, words[:, end:end + parent.shape[1]], positions[k], scratch)
             end += parent.shape[1]
         start, stop = stop, end
     words.flags.writeable = False
     return words
 
 
-def _add(table: np.ndarray, parent: np.ndarray, out: np.ndarray, x: int,
-         scratch: np.ndarray) -> None:
-    """The sums and pdiffs of each set of ``parent`` with x added, into
-    ``out``, which may be ``parent``: the pairs of x and the table's set T.
-    The walk's step, and ``_table``'s for each new layer.
+def _add(parent: np.ndarray, out: np.ndarray, x: int, scratch: np.ndarray) -> None:
+    """The (bits, reversed bits, sums, pdiffs) rows of each set of ``parent``
+    with x added, into ``out``, which may be ``parent``: the one step that
+    adds a position, in table layers, base elements and walks alike.
 
-    From (S | {x}) + (S | {x}) = (S + S) | (S + x) | {2x}, that is two
-    shift-and-OR updates per word row; x's pairs with the elements outside
-    T are ``_finish``'s.
+    The reversed bits hold bit 31 - a for each element a, so that the
+    differences x - a come from one shift. x's bits go in first, then from
+    (S | {x}) + (S | {x}) = (S + S) | ((S | {x}) + x) the new bits shifted
+    each way give x's pairs with every element, x among them.
     """
     n = out.shape[1]
-    bits, rev = table[0, :n], table[1, :n]
-    np.left_shift(bits, x, out=scratch[:n])  # a + x
-    np.bitwise_or(parent[0, :n], scratch[:n], out=out[0])
-    np.right_shift(bits, x, out=scratch[:n])  # a - x for a >= x
-    np.bitwise_or(parent[1, :n], scratch[:n], out=out[1])
-    np.right_shift(rev, _WORD_WIDTH - 1 - x, out=scratch[:n])  # x - a for a <= x
-    np.bitwise_or(out[1], scratch[:n], out=out[1])
-
-
-def _finish(table: np.ndarray, level: np.ndarray, fixed: int, bits: np.ndarray
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The batch of the table's sets T with the elements of ``fixed`` added,
-    from ``level``, which holds every pair but those inside ``fixed``."""
-    n = level.shape[1]
-    np.bitwise_or(level, np.array(_set_words(fixed), dtype=np.uint64)[:, None], out=level)
-    np.bitwise_or(table[0, :n], fixed, out=bits[:n])
-    return bits[:n], level[0], level[1]
+    np.bitwise_or(parent[0, :n], 1 << x, out=out[0])
+    np.bitwise_or(parent[1, :n], 1 << (_WORD_WIDTH - 1 - x), out=out[1])
+    np.left_shift(out[0], x, out=scratch[:n])  # a + x
+    np.bitwise_or(parent[2, :n], scratch[:n], out=out[2])
+    np.right_shift(out[0], x, out=scratch[:n])  # a - x for a >= x
+    np.bitwise_or(parent[3, :n], scratch[:n], out=out[3])
+    np.right_shift(out[1], _WORD_WIDTH - 1 - x, out=scratch[:n])  # x - a for a <= x
+    np.bitwise_or(out[3], scratch[:n], out=out[3])
 
 
 def _grow_tally(sums: np.ndarray, pdiffs: np.ndarray) -> tuple[np.ndarray, int, int]:

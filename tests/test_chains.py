@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mstd_chains import (ChainBreakError, ChainRecord, ChainStep,
+from mstd_chains import (ArithmeticRangeError, ChainBreakError, ChainRecord, ChainStep,
                          Classification, IntegerSet, InvalidParameterError,
                          chain_from_json, chain_to_json,
                          fill1_chain, fill2_chain, interval_minus_point,
@@ -478,6 +478,14 @@ def test_chain_json_counts_must_be_integers(conway, field, value):
     rows = json.loads(chain_to_json(fill1_chain(conway, 2)))
     rows[1][field] = value
     with pytest.raises(InvalidParameterError, match=f"step 2: '{field}' must be a JSON integer"):
+        chain_from_json(json.dumps(rows))
+
+
+def test_chain_json_element_out_of_range_names_its_step(conway):
+    rows = json.loads(chain_to_json(fill1_chain(conway, 2)))
+    rows[1]["elements"][-1] = 1 << 63
+    with pytest.raises(ArithmeticRangeError,
+                       match=r"^chain JSON: step 2: element outside signed 64-bit range$"):
         chain_from_json(json.dumps(rows))
 
 

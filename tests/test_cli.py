@@ -207,6 +207,22 @@ def test_verify_rejects_non_integer_counts(capsys, chain_file):
     assert "step 1: 'card' must be a JSON integer" in err
 
 
+@pytest.mark.parametrize("command, field, value, least", [
+    ("table", "card", 0, 1), ("verify", "card", -1, 1), ("table", "diam", -2, 0),
+    ("verify", "sums", -1, 0), ("table", "diffs", -3, 0),
+])
+def test_chain_file_counts_no_set_has_are_refused(capsys, chain_file, command, field, value,
+                                                  least):
+    rows = json.loads(chain_file.read_text())
+    rows[0][field] = value
+    chain_file.write_text(json.dumps(rows))
+    code, out, err = run(capsys, command, str(chain_file))
+    assert code == 2
+    assert out == ""
+    assert f"chain JSON: step 1: '{field}' must be >= {least}, got {value}" in err
+    assert "Traceback" not in err
+
+
 def test_verify_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "verify", str(tmp_path / "absent.json"))
     assert code == 2

@@ -173,6 +173,26 @@ def test_miller_middle_constraints():
     assert classify(out) == Classification.MSTD
 
 
+def test_miller_middle_runs_are_walked_not_listed():
+    L, R = IntegerSet(FILL2_L), IntegerSet(FILL2_R)
+    # an empty window of exactly k holes passes, one of k + 1 is refused
+    assert classify(miller_mstd(L, R, n=10, k=10, m=10)) == Classification.MSTD
+    with pytest.raises(InvalidParameterError, match="run"):
+        miller_mstd(L, R, n=10, k=10, m=11)
+    # a middle of 2 * 10**6 elements is checked by its runs; listing them
+    # peaked at 107.9 MiB
+    m = 2 * 10**6 + 1
+    middle = IntegerSet.interval(22, 20 + m)
+    tracemalloc.start()
+    try:
+        out = miller_mstd(L, R, n=10, k=10, m=m, middle=middle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out) == len(middle) + 31
+    assert peak < 8 << 20
+
+
 def test_miller_empty_window():
     # m = 0: no middle window at all, the two filled blocks are adjacent
     L, R = IntegerSet(FILL2_L), IntegerSet(FILL2_R)

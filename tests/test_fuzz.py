@@ -41,6 +41,14 @@ chain_texts = (st.text()
                | st.lists(rows | json_values, max_size=4).map(json.dumps))
 
 VALID_CHAIN = chain_to_json(nonfill_chain(4))
+# counts no set has: a negative card once printed a negative density, and
+# a zero card before another step divided by zero in the table's ratios
+NEGATIVE_CARD = json.dumps([{"elements": [0, 2], "card": -1, "diam": 2, "sums": 3,
+                             "diffs": 3, "classification": "BALANCED"}])
+ZERO_CARD = json.dumps([{"elements": [0], "card": 0, "diam": 0, "sums": 1, "diffs": 1,
+                         "classification": "BALANCED"},
+                        {"elements": [0, 1], "card": 2, "diam": 1, "sums": 3, "diffs": 3,
+                         "classification": "BALANCED"}])
 
 
 @settings(max_examples=300, deadline=None)
@@ -87,6 +95,8 @@ def test_analyze_exits_0_1_or_2(text):
 @example(b"[" * 100_000, ("verify",))
 @example(b"\xff\xfe[", ("table", "--format", "csv"))  # not UTF-8
 @example(VALID_CHAIN.encode(), ("verify", "--no-fill-in"))
+@example(NEGATIVE_CARD.encode(), ("table", "--format", "csv"))
+@example(ZERO_CARD.encode(), ("table", "--format", "csv"))
 def test_chain_file_commands_exit_0_1_or_2(data, command):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "chain.json")

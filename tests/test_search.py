@@ -929,6 +929,21 @@ def test_repeated_scans_hold_no_buffers():
     assert current < 4 << 20
 
 
+def test_one_walk_holds_a_bounded_peak():
+    # the first task of exhaustive_by_diameter(22) walks 3 positions over a
+    # cached 14-position table: two levels of four rows and a scratch row
+    # of 2**14 words (1.125 MiB), at a 1.21 MiB traced peak in all
+    task = next(search._split((0,), range(1, 23), 22, search._TASK_SETS))
+    _subset_chunk(task)  # the cached table
+    tracemalloc.start()
+    try:
+        assert _subset_chunk(task)[:2] == (1 << 17, 36)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 << 19
+
+
 def test_no_kernel_call_holds_more_than_the_cap(monkeypatch):
     # every batch of every scan comes from _grow, from a cached table and a
     # walk over it
