@@ -112,9 +112,12 @@ def chain_from_json(text: str, no_fill_in_required: bool = False) -> ChainRecord
 
     Elements and the ``index``, ``card``, ``diam``, ``sums`` and ``diffs``
     fields must be JSON integers, ``card`` at least 1 and the other counts
-    at least 0. Stored counts and classifications are kept as read, not
-    recomputed, so verification can catch records that disagree with their
-    own elements.
+    at least 0. Steps are numbered consecutively: the first ``index`` is at
+    least 1, each later one is the previous step's plus one, and a step
+    without one takes that number. So an excerpt may start past step 1, but
+    no step can claim another's place. Stored counts and classifications
+    are kept as read, not recomputed, so verification can catch records
+    that disagree with their own elements.
     """
     try:
         rows = json.loads(text)
@@ -130,7 +133,11 @@ def chain_from_json(text: str, no_fill_in_required: bool = False) -> ChainRecord
             counts = SetProfile.from_counts(_json_int(row, "card", 1), _json_int(row, "diam", 0),
                                             _json_int(row, "sums", 0), _json_int(row, "diffs", 0))
             stored = replace(counts, classification=Classification(row["classification"]))
-            index = _json_int(row, "index") if "index" in row else i + 1
+            following = steps[-1].index + 1 if steps else 1
+            index = _json_int(row, "index", 1) if "index" in row else following
+            if steps and index != following:
+                raise InvalidParameterError(
+                    f"'index' must be {following}, the previous step's plus one, got {index}")
             steps.append(ChainStep(index=index, set=elements, profile=stored))
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidParameterError(f"chain JSON: step {i + 1}: {exc}") from None
@@ -362,13 +369,15 @@ def verify_chain(record: ChainRecord) -> VerificationReport:
         fresh = search.oracle_profile(step.set) if small else profile(step.set)
         recomputed.append(fresh)
         if fresh != step.profile:
-            profile_witnesses.append(
-                f"step {step.index}: stored "
-                f"(sums={step.profile.sum_count}, diffs={step.profile.diff_count}, "
-                f"{step.profile.classification.value}) != recomputed "
-                f"(sums={fresh.sum_count}, diffs={fresh.diff_count}, "
-                f"{fresh.classification.value})"
-            )
+            # card and diam show only when one of them is wrong
+            shape = ((step.profile.cardinality, step.profile.diameter)
+                     != (fresh.cardinality, fresh.diameter))
+            stored, recount = (
+                (f"card={p.cardinality}, diam={p.diameter}, " if shape else "")
+                + f"sums={p.sum_count}, diffs={p.diff_count}, {p.classification.value}"
+                for p in (step.profile, fresh))
+            profile_witnesses.append(f"step {step.index}: stored ({stored}) "
+                                     f"!= recomputed ({recount})")
     checks = [CheckResult("profiles", not profile_witnesses,
                           witnesses=tuple(profile_witnesses))]
 

@@ -23,8 +23,8 @@ walk few of them.
 sets that add at most a given number of free positions to fixed tops.
 The kernel is picked per set: ``_grow`` takes every set inside the word
 width, and each set with an element past it, which only cardinality scans
-reach, is counted alone by ``_set_words``. A task lists the elements of
-its witnesses only for the MSTD sets that can be kept.
+reach, is counted alone by ``_set_words``. A task returns every MSTD set
+it finds as bits, and only ``search`` orders them to pick witnesses.
 
 Random samples share no prefix, so sampling classifies them from
 scratch, bit-sliced: for each position a, bit k of a ``uint64`` word
@@ -37,7 +37,6 @@ counts them together, so the pair loop runs once per task, not per chunk.
 
 from __future__ import annotations
 
-import heapq
 import math
 from bisect import bisect_left
 from functools import lru_cache
@@ -46,7 +45,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .search import _BY_SIZE, _SAMPLE_CHUNK, _WITNESS_CAP, _subsets_up_to
+from .search import _SAMPLE_CHUNK, _WITNESS_CAP, _subsets_up_to
 
 # most sets one batch holds; a table of that many sets takes 1 MiB. A
 # bounded walk's batches shrink with its depth, so its table takes the whole
@@ -208,27 +207,6 @@ def _elements(bits: int, offset: int = 0) -> tuple[int, ...]:
     return tuple(i + offset for i in range(bits.bit_length()) if (bits >> i) & 1)
 
 
-def _keep_witnesses(found: list[int]) -> list[tuple]:
-    """Of the MSTD sets ``found`` (bit i = element i), the keys (d, |A|,
-    elements), d the largest element, that are among the ``_WITNESS_CAP``
-    smallest or the ``_WITNESS_CAP`` smallest by (|A|, d, elements): a
-    task's witnesses.
-
-    Elements are listed only for the sets that tie with or beat the
-    ``_WITNESS_CAP``-th smallest (d, |A|) or (|A|, d), the only ones that
-    can be kept.
-    """
-    kept: set[int] = set()
-    for order in (lambda b: (b.bit_length(), b.bit_count()),
-                  lambda b: (b.bit_count(), b.bit_length())):
-        edge = heapq.nsmallest(_WITNESS_CAP, map(order, found))
-        if edge:
-            kept.update(bits for bits in found if order(bits) <= edge[-1])
-    keys = [(bits.bit_length() - 1, bits.bit_count(), _elements(bits)) for bits in kept]
-    return sorted(set(heapq.nsmallest(_WITNESS_CAP, keys))
-                  | set(heapq.nsmallest(_WITNESS_CAP, keys, key=_BY_SIZE)))
-
-
 def _peel(bits: int, positions: Sequence[int], start: int, end: int, limit: int) -> Iterator[int]:
     """Each bits | {positions[k]} | T, start <= k < end and T a subset of
     positions[:k] with |T| < ``limit``, read by index: at most ``limit`` deep."""
@@ -239,13 +217,14 @@ def _peel(bits: int, positions: Sequence[int], start: int, end: int, limit: int)
 
 
 def _subset_chunk(task: tuple[tuple[int, ...], Sequence[int], int, int]
-                  ) -> tuple[int, int, int, int, list[tuple]]:
+                  ) -> tuple[int, int, int, int, list[int]]:
     """Classify every set tops | T, T a subset of ``positions`` with |T| <= limit.
 
-    The task is one of ``search._split``'s requests, and a witness is
-    (d, |A|, elements), d the largest element. If the tops lie below the
-    word width, one ``_grow`` call takes the positions below it; every other
-    set has an element past it, reached by ``_peel``, and is counted alone.
+    The task is one of ``search._split``'s requests. It returns its counts
+    and every MSTD set it finds, as bits (bit i = element i). If the tops
+    lie below the word width, one ``_grow`` call takes the positions below
+    it; every other set has an element past it, reached by ``_peel``, and
+    is counted alone.
     """
     tops, positions, limit, _ = task
     base = sum(1 << t for t in tops)
@@ -269,7 +248,7 @@ def _subset_chunk(task: tuple[tuple[int, ...], Sequence[int], int, int]
             found.append(bits)
         elif s < f:
             mdts += 1
-    return total, mstd, mdts, total - mstd - mdts, _keep_witnesses(found)
+    return total, mstd, mdts, total - mstd - mdts, found
 
 
 def _bit_slices(rows: np.ndarray, out: np.ndarray) -> None:

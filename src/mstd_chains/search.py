@@ -11,16 +11,17 @@ every subset of [0, d_max] holding 0, with at most card_max elements, its
 largest element its diameter; the exhaustive scan leaves no size out.
 One ``_split`` cuts them on their top positions into tasks of at most
 ``_TASK_SETS`` sets, and the kernels cut a task into batches the same way.
-One budget of ``_SET_BUDGET`` sets, counted in closed form before any task
-is built, bounds both scans and the sampler; ``_WINDOW`` bounds d_max.
+A task returns every MSTD set it finds, and only ``_witnesses`` orders
+them: by diameter, or by size for the cardinality scan. One budget of
+``_SET_BUDGET`` sets, counted in closed form before any task is built,
+bounds both scans and the sampler; ``_WINDOW`` bounds d_max.
 The sampler draws chunks of ``_SAMPLE_CHUNK`` samples, each from a stream
 seeded by (seed, chunk index), and a task takes several consecutive ones:
 as many as one ``kernels._BLOCK_BYTES`` block of draws holds, the
 request's chunks split evenly between the tasks.
 
-Task boundaries and per-chunk RNG seeds depend only on the request,
-never on the worker count, and results merge associatively: reports are
-identical no matter how the work was partitioned.
+Task boundaries and per-chunk RNG seeds depend only on the request, and
+results merge associatively, so no report depends on the worker count.
 
 The chunk workers and their word-level kernels live in ``kernels``, the
 package's only numpy module. Each driver imports it before any work
@@ -33,6 +34,7 @@ count changes or a scan fails, and kept until the interpreter exits.
 from __future__ import annotations
 
 import atexit
+import heapq
 import math
 import os
 from dataclasses import dataclass, replace
@@ -57,8 +59,6 @@ _WITNESS_CAP = 8
 _ORACLE_CARD_CAP = 10_000
 _SET_BUDGET = 100_000_000  # most sets one search classifies
 _SAMPLE_WORK = 10**11  # most n**2 * samples, a few seconds of serial work
-# a subset scan's witness key is (d, |A|, elements); this orders it by size first
-_BY_SIZE = itemgetter(1, 0, 2)
 
 
 def oracle_profile(a: IntegerSet | Iterable[int]) -> SetProfile:
@@ -200,19 +200,19 @@ def _run_tasks(worker, tasks: Sequence, workers: int) -> list:
         raise
 
 
-def _scan(worker, tasks: Sequence, workers: int, domain: str, order=None) -> SearchReport:
+def _scan(worker, tasks: Sequence, workers: int, domain: str, rank=None) -> SearchReport:
     """Run the chunk tasks and fold their results into one report.
 
-    Each chunk returns (examined, mstd, mdts, balanced, witnesses), where a
-    witness is a sort key ending in the set's elements, and a chunk's
-    witnesses include its ``_WITNESS_CAP`` smallest under ``order``. Counts
-    add up and the report keeps the ``_WITNESS_CAP`` keys of all chunks
-    smallest under ``order`` (the keys themselves when it is None), so it
-    does not depend on how the tasks were split between workers.
+    Each chunk returns (examined, mstd, mdts, balanced, found). Counts add
+    up. A sampling chunk finds witness keys ending in the set's elements, of
+    which the report keeps the ``_WITNESS_CAP`` smallest; a subset chunk
+    finds every MSTD set as bits, which ``_witnesses`` ranks by ``rank``.
+    So the report does not depend on how the tasks were split.
     """
     parts = _run_tasks(worker, tasks, workers)
     total, mstd, mdts, bal = (sum(p[i] for p in parts) for i in range(4))
-    keys = sorted(chain.from_iterable(p[4] for p in parts), key=order)[:_WITNESS_CAP]
+    found = list(chain.from_iterable(p[4] for p in parts))
+    keys = sorted(found)[:_WITNESS_CAP] if rank is None else _witnesses(found, rank)
     return SearchReport(domain=domain, total_examined=total, mstd_count=mstd,
                         mdts_count=mdts, balanced_count=bal,
                         witnesses=tuple(IntegerSet(k[-1]) for k in keys))
@@ -222,14 +222,34 @@ def _scan(worker, tasks: Sequence, workers: int, domain: str, order=None) -> Sea
 # subset scans: exhaustive by diameter, and bounded cardinality
 # ---------------------------------------------------------------------------
 
+def _by_diameter(bits: int) -> tuple[int, int]:
+    """Rank a subset-scan set (bit i = element i) by diameter, then size."""
+    return bits.bit_length(), bits.bit_count()
+
+
+def _by_size(bits: int) -> tuple[int, int]:
+    """Rank a subset-scan set by size, then diameter."""
+    return bits.bit_count(), bits.bit_length()
+
+
+def _witnesses(found: list[int], rank) -> list[tuple]:
+    """The ``_WITNESS_CAP`` smallest keys (*rank(bits), elements) of the MSTD
+    sets ``found``, listing elements only for the sets that tie with or beat
+    the ``_WITNESS_CAP``-th smallest rank, the only ones that can be kept."""
+    from .kernels import _elements
+    edge = heapq.nsmallest(_WITNESS_CAP, map(rank, found))
+    return sorted((*rank(bits), _elements(bits)) for bits in found
+                  if rank(bits) <= edge[-1])[:_WITNESS_CAP] if edge else []
+
+
 def _subset_scan(caller: str, d_max: int, card_max: int, workers: int, domain: str,
-                 order=None) -> SearchReport:
+                 rank=_by_diameter) -> SearchReport:
     """Classify every subset of [0, d_max] with 0 and at most card_max elements.
 
     Such a set is {0} | T, T at most card_max - 1 positions of [1, d_max],
     and its diameter d is its largest element. One ``_split`` cuts that
-    family into ``kernels._subset_chunk`` tasks, so a task may mix
-    diameters and keeps its smallest witnesses under both witness orders.
+    family into ``kernels._subset_chunk`` tasks, which may mix diameters
+    and return every MSTD set they find; ``_scan`` ranks them by ``rank``.
     """
     if d_max >= _WINDOW:
         raise ResourceLimitError(f"{caller}: d_max must be below {_WINDOW}")
@@ -241,7 +261,7 @@ def _subset_scan(caller: str, d_max: int, card_max: int, workers: int, domain: s
     # largest first, so that no big task is left for one worker at the end
     tasks.sort(key=itemgetter(3), reverse=True)
     from .kernels import _subset_chunk
-    return _scan(_subset_chunk, tasks, workers, domain, order)
+    return _scan(_subset_chunk, tasks, workers, domain, rank)
 
 
 def exhaustive_by_diameter(d_max: int, workers: int = 1) -> SearchReport:
@@ -272,7 +292,7 @@ def min_cardinality_scan(d_max: int, card_max: int, workers: int = 1) -> SearchR
     return _subset_scan("min_cardinality_scan", d_max, card_max, workers,
                         f"subsets of [0,d] containing 0 and d, 0 <= d <= {d_max}, "
                         f"cardinality <= {card_max}",
-                        order=_BY_SIZE)
+                        rank=_by_size)
 
 
 # ---------------------------------------------------------------------------

@@ -382,12 +382,17 @@ def test_verify_names_exactly_the_tampered_step(fill2_seed):
     rows = json.loads(chain_to_json(fill2_chain(*fill2_seed, 48)))
     assert _profiles_check(rows).passed
     assert rows[39]["classification"] == "MDTS"
-    for field, value, stored in [("sums", 813, "sums=813, diffs=821, MDTS"),
-                                 ("classification", "MSTD", "sums=812, diffs=821, MSTD")]:
+    counts = "sums=812, diffs=821, MDTS"
+    # card and diam show on both sides only when one of them is wrong
+    for field, value, stored, recount in [
+            ("sums", 813, "sums=813, diffs=821, MDTS", counts),
+            ("classification", "MSTD", "sums=812, diffs=821, MSTD", counts),
+            ("card", 402, f"card=402, diam=410, {counts}", f"card=401, diam=410, {counts}"),
+            ("diam", 409, f"card=401, diam=409, {counts}", f"card=401, diam=410, {counts}")]:
         tampered = json.loads(json.dumps(rows))
         tampered[39][field] = value
         assert _profiles_check(tampered).witnesses == (
-            f"step 40: stored ({stored}) != recomputed (sums=812, diffs=821, MDTS)",)
+            f"step 40: stored ({stored}) != recomputed ({recount})",)
 
 
 def test_verify_checks_large_steps_with_the_engine(conway, monkeypatch):
@@ -406,19 +411,23 @@ def test_verify_checks_large_steps_with_the_engine(conway, monkeypatch):
 def test_verify_report_of_a_chain_that_does_not_nest(conway):
     rows = json.loads(chain_to_json(fill1_chain(conway, 4)))
     rows[1], rows[2] = rows[2], rows[1]
+    # the swapped rows keep their numbers, out of order, so the file is refused
+    with pytest.raises(InvalidParameterError, match="step 2: 'index' must be 2"):
+        chain_from_json(json.dumps(rows))
+    rows[1]["index"], rows[2]["index"] = 2, 3
     report = verify_chain(chain_from_json(json.dumps(rows), no_fill_in_required=True))
     assert str(report) == "\n".join([
         "profiles: PASS",
         "nesting: FAIL",
-        "    step 2 does not properly contain step 3",
+        "    step 3 does not properly contain step 2",
         "alternation: FAIL",
-        "    step 3 classifies MSTD after MSTD",
+        "    step 2 classifies MSTD after MSTD",
         "    step 4 classifies MDTS after MDTS",
         "no_fill_in: FAIL",
         "    gaps of step 1 filled later: 1,5,6,8,9,10,13",
-        "    gaps of step 3 filled later: 16,20,21,23,24,25,26,27,28,29,30,31,32,33,34,35,"
+        "    gaps of step 2 filled later: 16,20,21,23,24,25,26,27,28,29,30,31,32,33,34,35,"
         "36,37,38,39,40,42,43,44,47",
-        "    gaps of step 2 filled later: 15,16",
+        "    gaps of step 3 filled later: 15,16",
         "overall: FAIL",
     ])
 
@@ -478,6 +487,20 @@ def test_chain_json_counts_must_be_integers(conway, field, value):
     rows = json.loads(chain_to_json(fill1_chain(conway, 2)))
     rows[1][field] = value
     with pytest.raises(InvalidParameterError, match=f"step 2: '{field}' must be a JSON integer"):
+        chain_from_json(json.dumps(rows))
+
+
+def test_chain_json_numbers_steps_from_the_first_index(conway):
+    # an excerpt may start past step 1; a step without an index takes the next one
+    rows = json.loads(chain_to_json(fill1_chain(conway, 4)))[1:]
+    for row, index in zip(rows, (7, None, 9)):
+        row.pop("index")
+        if index is not None:
+            row["index"] = index
+    assert [step.index for step in chain_from_json(json.dumps(rows)).steps] == [7, 8, 9]
+    rows[0].pop("index")
+    with pytest.raises(InvalidParameterError,
+                       match=r"^chain JSON: step 3: 'index' must be 3, the previous step's"):
         chain_from_json(json.dumps(rows))
 
 

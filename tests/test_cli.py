@@ -223,6 +223,24 @@ def test_chain_file_counts_no_set_has_are_refused(capsys, chain_file, command, f
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["table", "verify"])
+@pytest.mark.parametrize("indices, message", [
+    ((-4, -4), "step 1: 'index' must be >= 1, got -4"),
+    ((1, 1), "step 2: 'index' must be 2, the previous step's plus one, got 1"),
+    ((1, 3), "step 2: 'index' must be 2, the previous step's plus one, got 3"),
+])
+def test_chain_file_steps_must_be_numbered_in_order(capsys, chain_file, command, indices,
+                                                    message):
+    # a step that claims another's number once printed A_-4 twice and verified
+    rows = json.loads(chain_file.read_text())
+    for row, index in zip(rows, indices):
+        row["index"] = index
+    chain_file.write_text(json.dumps(rows))
+    code, out, err = run(capsys, command, str(chain_file))
+    assert (code, out) == (2, "")
+    assert err == f"error: chain JSON: {message}\n"
+
+
 def test_verify_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "verify", str(tmp_path / "absent.json"))
     assert code == 2

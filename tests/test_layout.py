@@ -1,7 +1,8 @@
 """Rules on the package source: which modules may import numpy and the kernels,
-that no module imports a name it never uses, that only ``intset`` reads
-``IntegerSet``'s representation, no ``assert`` statements, which functions
-may raise ``AssertionError``, and which read the run-smear width cap."""
+which names the kernels take from ``search``, that no module imports a name
+it never uses, that only ``intset`` reads ``IntegerSet``'s representation,
+no ``assert`` statements, which functions may raise ``AssertionError``, and
+which read the run-smear width cap."""
 
 import ast
 
@@ -28,6 +29,16 @@ def test_only_kernels_imports_numpy_and_only_search_imports_kernels():
     assert {"kernels", "search", "intset"} <= modules.keys()
     assert {m for m, names in modules.items() if "numpy" in names} == {"kernels"}
     assert {m for m, names in modules.items() if "kernels" in names} == {"search"}
+
+
+def test_kernels_take_no_witness_order_from_search():
+    # search alone orders the MSTD sets the workers return; kernels take
+    # only sizes and a subset count from it
+    tree = ast.parse((REPO / "src" / "mstd_chains" / "kernels.py").read_text())
+    names = {alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "search"
+             for alias in node.names}
+    assert names <= {"_SAMPLE_CHUNK", "_WITNESS_CAP", "_subsets_up_to"}
 
 
 def test_no_module_imports_a_name_it_never_uses():

@@ -179,6 +179,11 @@ def test_card_scan_finds_conway_at_eight():
     report = min_cardinality_scan(14, 8)
     assert report.mstd_count > 0
     assert report.witnesses[0] == IntegerSet(CONWAY)
+    # witnesses come by size first: Conway's set dilated by 2 (d = 28) comes
+    # before the 9-element sets of diameter 14, unlike in the exhaustive order
+    report = min_cardinality_scan(28, 9)
+    assert [len(w) for w in report.witnesses] == [8] * 4 + [9] * 4
+    assert report.witnesses[2] == IntegerSet(2 * x for x in CONWAY)
 
 
 def test_card_scan_region_without_witnesses():
@@ -637,19 +642,33 @@ def _card_task(d, j_max):
     return (0, d), range(1, d), j_max, search._subsets_up_to(d - 1, j_max)
 
 
+def _referee_part(sets):
+    """What ``_subset_chunk`` returns for the sets given as bits, by
+    ``_mask_counts``, with its MSTD sets sorted."""
+    signs = [_referee_sign(bits) for bits in sets]
+    return (len(signs), signs.count(1), signs.count(-1), signs.count(0),
+            sorted(bits for bits, sign in zip(sets, signs) if sign > 0))
+
+
+def _task_sets(task):
+    """Every set of a ``_subset_chunk`` task as bits, from combinations."""
+    tops, positions, limit, _ = task
+    base = sum(1 << t for t in tops)
+    return [base | sum(1 << p for p in combo)
+            for j in range(limit + 1) for combo in combinations(positions, j)]
+
+
+def _sorted_part(part):
+    """A ``_subset_chunk`` result with its MSTD sets sorted."""
+    return (*part[:4], sorted(part[4]))
+
+
 @pytest.mark.parametrize("task", [(16, 0, 1 << 14), (16, 1 << 14, 1 << 15)])
 def test_enum_chunk_matches_per_mask_recount(task):
     d, lo, hi = task
-    signs, witnesses = [], []
-    for mask in range(lo, hi):
-        bits = (mask << 1) | 1 | (1 << d)
-        signs.append(_referee_sign(bits))
-        if signs[-1] > 0:
-            elements = tuple(i for i in range(d + 1) if (bits >> i) & 1)
-            witnesses.append((d, len(elements), elements))
-    expected = (hi - lo, signs.count(1), signs.count(-1), signs.count(0),
-                sorted(witnesses)[:8])
-    assert _subset_chunk(_chunk_task(lo, hi, d)) == expected
+    expected = _referee_part([(mask << 1) | 1 | (1 << d) for mask in range(lo, hi)])
+    assert expected[1] > 0
+    assert _sorted_part(_subset_chunk(_chunk_task(lo, hi, d))) == expected
 
 
 @pytest.mark.parametrize("task", [(24, 5), (18, 8)])
@@ -657,16 +676,11 @@ def test_card_chunk_spans_batches_and_matches_recount(task):
     from itertools import combinations
 
     d, j_max = task
-    signs, witnesses = [], []
-    for j in range(j_max + 1):
-        for combo in combinations(range(1, d), j):
-            signs.append(_referee_sign(1 | (1 << d) | sum(1 << c for c in combo)))
-            if signs[-1] > 0:
-                witnesses.append((d, j + 2, (0, *combo, d)))
-    assert len(signs) > _BATCH
-    expected = (len(signs), signs.count(1), signs.count(-1), signs.count(0),
-                sorted(witnesses)[:8])
-    assert _subset_chunk(_card_task(*task)) == expected
+    expected = _referee_part([1 | (1 << d) | sum(1 << c for c in combo)
+                              for j in range(j_max + 1)
+                              for combo in combinations(range(1, d), j)])
+    assert expected[0] > _BATCH
+    assert _sorted_part(_subset_chunk(_card_task(*task))) == expected
 
 
 def test_wide_card_chunk_matches_recount():
@@ -687,20 +701,39 @@ def test_per_set_branches_match_word_kernels(monkeypatch):
     # split tasks, whose tops hold fixed top positions
     split = list(search._split((0, 14), range(1, 14), 6, 1 << 10))
     assert len(split) > 2
-    parts = [_subset_chunk(task) for task in split]
+    parts = [_sorted_part(_subset_chunk(task)) for task in split]
     assert [sum(part[i] for part in parts) for i in range(4)] == list(card[:4])
-    assert sorted(w for part in parts for w in part[4])[:8] == card[4]
+    assert sorted(w for part in parts for w in part[4]) == sorted(card[4])
     # the split of a whole scan: its first task, with no top but 0, holds
     # sets of every diameter up to its positions' last
     mixed = list(search._split((0,), range(1, 18), 8, 1 << 15))
     assert len(mixed) > 2 and mixed[0][:2] == ((0,), range(1, 16))
-    mixed_parts = [_subset_chunk(task) for task in mixed]
+    mixed_parts = [_sorted_part(_subset_chunk(task)) for task in mixed]
     assert mixed_parts[0][1] > 0
-    # a narrower word sends the worker down its per-set big-integer branch
+    # a narrower word sends the worker down its per-set big-integer branch,
+    # which meets the sets in another order
     monkeypatch.setattr(kernels, "_WORD_WIDTH", 8)
-    assert _subset_chunk(_card_task(14, 6)) == card
-    assert [_subset_chunk(task) for task in split] == parts
-    assert [_subset_chunk(task) for task in mixed] == mixed_parts
+    assert _sorted_part(_subset_chunk(_card_task(14, 6))) == _sorted_part(card)
+    assert [_sorted_part(_subset_chunk(task)) for task in split] == parts
+    assert [_sorted_part(_subset_chunk(task)) for task in mixed] == mixed_parts
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_witness_picker_equals_a_full_sort(seed):
+    # the least diameter has the most elements, so the two orders differ,
+    # and hundreds of sets tie with the cap-th rank
+    rng = np.random.default_rng(seed)
+    interiors = [(d, rng.choice(range(1, d), j, replace=False).tolist())
+                 for d, j in [(14, 7), (15, 6), (16, 5)] for _ in range(200)]
+    found = sorted({1 | 1 << d | sum(1 << c for c in interior) for d, interior in interiors})
+    for sets in (found, rng.permutation(found).tolist(),
+                 rng.choice(found, 12, replace=False).tolist(), found[:5], []):
+        elements = {bits: tuple(i for i in range(bits.bit_length()) if bits >> i & 1)
+                    for bits in sets}
+        for rank, key in [(search._by_diameter, lambda e: (e[-1], len(e), e)),
+                          (search._by_size, lambda e: (len(e), e[-1], e))]:
+            expected = sorted(map(elements.get, sets), key=key)[:search._WITNESS_CAP]
+            assert [k[-1] for k in search._witnesses(sets, rank)] == expected
 
 
 def test_word_kernel_takes_every_set_inside_the_word_width(monkeypatch):
@@ -822,14 +855,16 @@ def test_grow_split_matches_unsplit(monkeypatch):
     assert limited == sorted(_counter_order(base, free, 6))
     tasks = [_chunk_task(0, 1 << 14, 17), _chunk_task(1 << 14, 1 << 15, 17),
              _card_task(20, 5), _card_task(31, 3), _card_task(18, 8)]
-    chunks = [_subset_chunk(task) for task in tasks]
+    chunks = [_referee_part(_task_sets(task)) for task in tasks]
+    assert [_sorted_part(_subset_chunk(task)) for task in tasks] == chunks
+    assert [chunk[1] for chunk in chunks] == [0, 1, 0, 0, 14]
     seeds = find_fill2_seeds(9)
     monkeypatch.setattr(kernels, "_BATCH", 1 << 5)
     # batches are ordered by size within each batch, so compare as sorted
     # lists, which still differ on a missing, extra or repeated set
     assert sorted(_grown(base, free)) == whole
     assert sorted(_grown(base, free, 6)) == limited
-    assert [_subset_chunk(task) for task in tasks] == chunks
+    assert [_sorted_part(_subset_chunk(task)) for task in tasks] == chunks
     assert find_fill2_seeds(9) == seeds
 
 
