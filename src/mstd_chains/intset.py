@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, filterfalse
+from itertools import chain, filterfalse, islice
 from numbers import Integral
 from operator import itemgetter, neg, or_
 from typing import Iterable, Iterator, Optional, Sequence
@@ -319,14 +319,19 @@ class IntegerSet:
                 and self._bitvector()[0] == other._bitvector()[0])
 
     def __hash__(self) -> int:
-        return hash(self.elements)
+        # the runs are canonical, so equal sets hash alike in either form
+        return hash(tuple(self._runs()))
 
     def __repr__(self) -> str:
-        els = self.elements
-        if len(els) <= 12:
-            body = ", ".join(map(str, els))
+        if len(self) <= 12:
+            body = ", ".join(map(str, self.elements))
         else:
-            body = f"{', '.join(map(str, els[:6]))}, ... {', '.join(map(str, els[-3:]))}"
+            # the ends come from the runs, so a wide interval lists no middle
+            runs = self._runs()
+            head = islice(chain.from_iterable(range(first, last + 1) for first, last in runs), 6)
+            tail = [*islice(chain.from_iterable(reversed(range(first, last + 1))
+                                                for first, last in reversed(runs)), 3)]
+            body = f"{', '.join(map(str, head))}, ... {', '.join(map(str, tail[::-1]))}"
         return f"IntegerSet([{body}])"
 
     def to_text(self) -> str:
@@ -615,8 +620,8 @@ def symmetry_center(a: IntegerSet) -> Optional[int]:
     if a.is_empty:
         return None
     c = a.min + a.max
-    els = a.elements
-    return c if tuple(c - e for e in reversed(els)) == els else None
+    runs = a._runs()
+    return c if [(c - last, c - first) for first, last in reversed(runs)] == runs else None
 
 
 def is_pn(a: IntegerSet, n: int) -> bool:
@@ -631,9 +636,10 @@ def is_pn(a: IntegerSet, n: int) -> bool:
     if n < 0:
         raise InvalidParameterError("is_pn: n must be nonnegative")
     lo, hi = a.min, a.max
+    # the difference hull first: seed discovery's MSTD sets fail it more often
     return (
-        sumset(a).contains_interval(2 * lo + n, 2 * hi - n)
-        and diffset(a).contains_interval(-(hi - lo) + n, (hi - lo) - n)
+        diffset(a).contains_interval(-(hi - lo) + n, (hi - lo) - n)
+        and sumset(a).contains_interval(2 * lo + n, 2 * hi - n)
     )
 
 

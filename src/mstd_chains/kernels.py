@@ -4,8 +4,8 @@ The package's only numpy module; only the search drivers import it, before
 they start a worker pool, so every other command runs without numpy.
 
 A set inside [0, 32) is one ``uint64`` word, and so are its reversed
-bits and its sum and difference words. The subset and seed scans build
-each set from one with an element fewer, since (A | {x}) + (A | {x}) =
+bits and its sum and difference words. The subset scans build each set
+from one with an element fewer, since (A | {x}) + (A | {x}) =
 (A + A) | ((A | {x}) + x): ``_add`` ORs x's bits into a set's rows and
 shifts the new bits each way, and it is the only numpy code that adds a
 position to a set. ``_grow`` takes the sets inside a request's first
@@ -14,17 +14,18 @@ elements to a copy of it, and then walks the other positions: each batch
 is the batch it came from with one position added. Every table grows by
 size layers, each set from its parent in the layer before by the same
 step, so the sets within a smaller limit are a prefix of it. A table of
-every subset of its positions (the exhaustive and seed scans) holds half
-of ``_BATCH``. A bounded walk's batches shrink as it adds positions, so
-its table takes as many positions as ``_BATCH`` holds and leaves the
-walk few of them.
+every subset of its positions (the exhaustive scan and seed discovery)
+holds half of ``_BATCH``. A bounded walk's batches shrink as it adds
+positions, so its table takes as many positions as ``_BATCH`` holds and
+leaves the walk few of them.
 
-``_subset_chunk`` is the one worker of both subset scans: a task is the
-sets that add at most a given number of free positions to fixed tops.
-The kernel is picked per set: ``_grow`` takes every set inside the word
-width, and each set with an element past it, which only cardinality scans
-reach, is counted alone by ``_set_words``. A task returns every MSTD set
-it finds as bits, and only ``search`` orders them to pick witnesses.
+``_subset_chunk`` is the one worker of both subset scans and of seed
+discovery: a task is the sets that add at most a given number of free
+positions to fixed tops. The kernel is picked per set: ``_grow`` takes
+every set inside the word width, and each set with an element past it,
+which only cardinality scans reach, is counted alone by ``_set_words``.
+A task returns every MSTD set it finds as bits, and only ``search``
+orders them to pick witnesses or test their hulls.
 
 Random samples share no prefix, so sampling classifies them from
 scratch, bit-sliced: for each position a, bit k of a ``uint64`` word
@@ -202,9 +203,9 @@ def _grow_tally(sums: np.ndarray, pdiffs: np.ndarray) -> tuple[np.ndarray, int, 
     return hits, mstd, surplus.size - mstd - int(np.count_nonzero(surplus == 255))
 
 
-def _elements(bits: int, offset: int = 0) -> tuple[int, ...]:
-    """The set encoded by ``bits``, each element shifted by ``offset``."""
-    return tuple(i + offset for i in range(bits.bit_length()) if (bits >> i) & 1)
+def _elements(bits: int) -> tuple[int, ...]:
+    """The set encoded by ``bits`` (bit i = element i)."""
+    return tuple(i for i in range(bits.bit_length()) if (bits >> i) & 1)
 
 
 def _peel(bits: int, positions: Sequence[int], start: int, end: int, limit: int) -> Iterator[int]:
@@ -351,20 +352,3 @@ def _sample_chunk(task: tuple[int, int, int, int]) -> tuple[int, int, int, int, 
                   tuple((np.flatnonzero(words[:, k // 64] >> k % 64 & 1) + 1).tolist()))
                  for k in np.flatnonzero(hits)[:_WITNESS_CAP].tolist()]
     return count, mstd, mdts, count - mstd - mdts, witnesses
-
-
-def _fill2_seed_scan(n: int) -> list[tuple[int, ...]]:
-    """Every A inside [1, 2n] with 1 and 2n, without n, MSTD and with hulls
-    complete except within n of each extreme, as element tuples."""
-    # bit i stands for the value i + 1
-    free = [v - 1 for v in range(2, 2 * n) if v != n]
-    sum_mask = np.uint64(((1 << (2 * n - 1)) - 1) << n)  # values n+2 .. 3n
-    diff_mask = np.uint64((1 << n) - 1)                  # values 0 .. n-1
-    found: list[tuple[int, ...]] = []
-    for bits, sums, pdiffs in _grow(1 | (1 << (2 * n - 1)), free, len(free)):
-        hits = np.flatnonzero(_grow_tally(sums, pdiffs)[0])
-        sums, pdiffs = sums[hits], pdiffs[hits]
-        keep = hits[((sums & sum_mask) == sum_mask) & ((pdiffs & diff_mask) == diff_mask)]
-        found += (_elements(b, 1) for b in bits[keep].tolist())
-    return found
-

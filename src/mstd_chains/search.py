@@ -12,9 +12,11 @@ largest element its diameter; the exhaustive scan leaves no size out.
 One ``_split`` cuts them on their top positions into tasks of at most
 ``_TASK_SETS`` sets, and the kernels cut a task into batches the same way.
 A task returns every MSTD set it finds, and only ``_witnesses`` orders
-them: by diameter, or by size for the cardinality scan. One budget of
-``_SET_BUDGET`` sets, counted in closed form before any task is built,
-bounds both scans and the sampler; ``_WINDOW`` bounds d_max.
+them: by diameter, or by size for the cardinality scan. Seed discovery
+runs such tasks serially and keeps the MSTD sets that pass ``is_pn``.
+One budget of ``_SET_BUDGET`` sets, counted in closed form before any
+task is built, bounds both scans and the sampler; ``_WINDOW`` bounds
+d_max.
 The sampler draws chunks of ``_SAMPLE_CHUNK`` samples, each from a stream
 seeded by (seed, chunk index), and a task takes several consecutive ones:
 as many as one ``kernels._BLOCK_BYTES`` block of draws holds, the
@@ -45,7 +47,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from .errors import InvalidParameterError, ResourceLimitError
-from .intset import IntegerSet, SetProfile, _integers
+from .intset import IntegerSet, SetProfile, _integers, is_pn
 
 if TYPE_CHECKING:
     from multiprocessing.pool import Pool
@@ -345,9 +347,11 @@ def sample_mstd_proportion(n: int, samples: int, seed: int,
 def find_fill2_seeds(n: int) -> list[tuple[IntegerSet, IntegerSet]]:
     """All (L, R) with L | R a valid linear fill-in seed for this n.
 
-    Scans every A inside [1, 2n] with 1 and 2n present and n absent, and
-    keeps those that are MSTD with hulls complete except within n of each
-    extreme. Exhaustive over 2**(2n-3) candidates; capped at n <= 12.
+    Scans every A inside [1, 2n] with 1 and 2n present and n absent: one
+    ``_split`` cuts them into ``kernels._subset_chunk`` tasks, run serially,
+    and of the MSTD sets they return it keeps those with hulls complete
+    except within n of each extreme (``is_pn``). Exhaustive over
+    2**(2n-3) candidates; capped at n <= 12.
     """
     (n,) = _integers("find_fill2_seeds", n=n)
     if n < 1:
@@ -356,9 +360,12 @@ def find_fill2_seeds(n: int) -> list[tuple[IntegerSet, IntegerSet]]:
         raise ResourceLimitError("find_fill2_seeds: n capped at 12")
     if n == 1:
         return []  # 1 and 2n = 2 forced in, n = 1 forced out: contradiction
-    from .kernels import _fill2_seed_scan
-    found = [(IntegerSet(e for e in elements if e <= n),
-              IntegerSet(e for e in elements if e > n))
-             for elements in _fill2_seed_scan(n)]
-    found.sort(key=lambda pair: (pair[0].to_list(), pair[1].to_list()))
-    return found
+    from .kernels import _elements, _subset_chunk
+    free = [v for v in range(2, 2 * n) if v != n]
+    tasks = list(_split((1, 2 * n), free, len(free), _TASK_SETS))
+    found = [IntegerSet(_elements(bits))
+             for part in _run_tasks(_subset_chunk, tasks, 1) for bits in part[4]]
+    pairs = [(IntegerSet(e for e in a if e <= n), IntegerSet(e for e in a if e > n))
+             for a in found if is_pn(a, n)]
+    pairs.sort(key=lambda pair: (pair[0].to_list(), pair[1].to_list()))
+    return pairs

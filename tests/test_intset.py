@@ -179,7 +179,7 @@ def test_symmetry_center(conway):
        st.integers(-100, 100))
 def test_symmetric_sets_are_balanced(half, center):
     a = IntegerSet(half).union(affine(IntegerSet(half), -1, center))
-    assert symmetry_center(a) == center
+    assert symmetry_center(a) == symmetry_center(_bits_only(a.elements)) == center
     assert classify(a) == Classification.BALANCED
 
 
@@ -288,6 +288,24 @@ def test_lazy_bits_backed_sets(conway):
     assert hash(IntegerSet([0, 1, 2])) == hash(IntegerSet.interval(0, 2))
     assert repr(IntegerSet.interval(0, 2)) == "IntegerSet([0, 1, 2])"
     assert repr(IntegerSet(range(13))) == "IntegerSet([0, 1, 2, 3, 4, 5, ... 10, 11, 12])"
+    # with holes, the ends span several runs: bits and elements agree
+    holes = [-5, -4, 0, 1, 2, 3, 9, 10, 17, 20, 21, 22, 23, 40]
+    assert (repr(_bits_only(holes)) == repr(IntegerSet(holes))
+            == "IntegerSet([-5, -4, 0, 1, 2, 3, ... 22, 23, 40])")
+    assert hash(_bits_only(holes)) == hash(IntegerSet(holes))
+    assert hash(_bits_only(holes)) != hash(_bits_only(holes[:-1]))
+    # repr, hash and symmetry read the runs, never listing 2**26 elements:
+    # the peak stays within three copies of the 8 MiB bit-vector
+    wide = IntegerSet.interval(0, 1 << 26)
+    tracemalloc.start()
+    try:
+        text, digest, center = repr(wide), hash(wide), symmetry_center(wide)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == "IntegerSet([0, 1, 2, 3, 4, 5, ... 67108862, 67108863, 67108864])"
+    assert digest == hash(IntegerSet.interval(0, 1 << 26)) and center == 1 << 26
+    assert peak < 3 << 23, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_elements_of_a_sparse_wide_vector_stay_small():

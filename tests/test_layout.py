@@ -1,6 +1,7 @@
 """Rules on the package source: which modules may import numpy and the kernels,
-which names the kernels take from ``search``, that no module imports a name
-it never uses, that only ``intset`` reads ``IntegerSet``'s representation,
+which names the kernels take from ``search`` and ``search`` from the kernels,
+that only the subset-scan worker grows word rows, that no module imports a
+name it never uses, that only ``intset`` reads ``IntegerSet``'s representation,
 no ``assert`` statements, which functions may raise ``AssertionError``, and
 which read the run-smear width cap."""
 
@@ -39,6 +40,33 @@ def test_kernels_take_no_witness_order_from_search():
              if isinstance(node, ast.ImportFrom) and node.module == "search"
              for alias in node.names}
     assert names <= {"_SAMPLE_CHUNK", "_WITNESS_CAP", "_subsets_up_to"}
+
+
+def test_search_takes_from_kernels_only_the_names_it_uses():
+    # each driver imports its kernel names in its own body, and uses them there
+    tree = ast.parse((REPO / "src" / "mstd_chains" / "search.py").read_text())
+    taken, unused = set(), []
+    for name, func in _functions(tree, "search"):
+        used = {node.id for node in ast.walk(func) if isinstance(node, ast.Name)}
+        for node in func.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "kernels":
+                taken.update(alias.name for alias in node.names)
+                unused += [f"{name} {alias.name}" for alias in node.names
+                           if alias.name not in used]
+    assert unused == []
+    assert taken == {"_BLOCK_BYTES", "_elements", "_sample_chunk", "_subset_chunk"}
+
+
+def test_only_the_subset_scan_worker_grows_word_rows():
+    # seed discovery runs subset-scan tasks too, so nothing else calls _grow
+    callers = {name
+               for path in sorted((REPO / "src" / "mstd_chains").glob("*.py"))
+               for name, func in _functions(ast.parse(path.read_text(), filename=str(path)),
+                                            path.stem)
+               if any(isinstance(node, ast.Call) and "_grow" in (getattr(node.func, "id", None),
+                                                                 getattr(node.func, "attr", None))
+                      for node in ast.walk(func))}
+    assert callers == {"kernels._subset_chunk"}
 
 
 def test_no_module_imports_a_name_it_never_uses():

@@ -448,17 +448,49 @@ def test_seed_discovery_roundtrip():
 def test_seed_discovery_hull_conditions_hold():
     from .conftest import naive_diffs, naive_sums
 
-    n = 11
-    seeds = find_fill2_seeds(n)
-    # frozen from the per-set big-integer scan this kernel replaced
-    assert len(seeds) == 68
-    for L, R in seeds:
-        elements = L.to_list() + R.to_list()
-        assert elements[0] == 1 and elements[-1] == 2 * n and n not in elements
-        sums, diffs = naive_sums(elements), naive_diffs(elements)
-        assert len(sums) > len(diffs)
-        assert set(range(n + 2, 3 * n + 1)) <= sums
-        assert set(range(-(n - 1), n)) <= diffs
+    # frozen from the word-mask seed scan that the subset-scan worker replaced
+    for n, count in [(10, 14), (11, 68), (12, 317)]:
+        seeds = find_fill2_seeds(n)
+        assert len(seeds) == count
+        for L, R in seeds:
+            elements = L.to_list() + R.to_list()
+            assert elements[0] == 1 and elements[-1] == 2 * n and n not in elements
+            assert L.max <= n < R.min
+            sums, diffs = naive_sums(elements), naive_diffs(elements)
+            assert len(sums) > len(diffs)
+            assert set(range(n + 2, 3 * n + 1)) <= sums
+            assert set(range(-(n - 1), n)) <= diffs
+
+
+def _seed_referee(n):
+    """Every fill2 seed for n as (L, R) lists: each A inside [1, 2n] with 1
+    and 2n and without n, as one Python integer (bit v = value v), its sums
+    and nonnegative differences OR-ed from one shift per element."""
+    low = n - 2  # free values 2 .. n-1, then n+1 .. 2n-1
+    hull_sums = ((1 << (2 * n - 1)) - 1) << (n + 2)  # the sums n+2 .. 3n
+    hull_diffs = (1 << n) - 1  # the differences 0 .. n-1, and so their negatives
+    found = []
+    for mask in range(1 << (2 * n - 3)):
+        bits = 2 | 1 << (2 * n) | (mask & ((1 << low) - 1)) << 2 | (mask >> low) << (n + 1)
+        sums = pdiffs = 0
+        rest = bits
+        while rest:
+            a = (rest & -rest).bit_length() - 1
+            sums |= bits << a
+            pdiffs |= bits >> a
+            rest &= rest - 1
+        if (sums.bit_count() > 2 * pdiffs.bit_count() - 1
+                and sums & hull_sums == hull_sums and pdiffs & hull_diffs == hull_diffs):
+            elements = [v for v in range(1, 2 * n + 1) if bits >> v & 1]
+            found.append(([v for v in elements if v <= n], [v for v in elements if v > n]))
+    return sorted(found)
+
+
+def test_seed_discovery_equals_a_big_integer_enumeration():
+    # all 2**17 candidates at n = 10, with no numpy, kernel or is_pn
+    expected = _seed_referee(10)
+    assert len(expected) == 14
+    assert [(L.to_list(), R.to_list()) for L, R in find_fill2_seeds(10)] == expected
 
 
 def test_seed_discovery_cap():
