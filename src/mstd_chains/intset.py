@@ -636,11 +636,24 @@ def is_pn(a: IntegerSet, n: int) -> bool:
     if n < 0:
         raise InvalidParameterError("is_pn: n must be nonnegative")
     lo, hi = a.min, a.max
-    # the difference hull first: seed discovery's MSTD sets fail it more often
-    return (
-        diffset(a).contains_interval(-(hi - lo) + n, (hi - lo) - n)
-        and sumset(a).contains_interval(2 * lo + n, 2 * hi - n)
-    )
+    d = hi - lo
+    if d > DENSE_DIAMETER_LIMIT:
+        # the difference hull first: seed discovery's MSTD sets fail it more often
+        return (diffset(a).contains_interval(-d + n, d - n)
+                and sumset(a).contains_interval(2 * lo + n, 2 * hi - n))
+    if n > d:
+        return True
+    # one smear per run, shifted as in sumset and in diffset: bit i of sums is
+    # the sum 2*lo + i and bit i of diffs the difference i - d, so both hulls
+    # are the bits [n, 2d - n]
+    bits, _ = a._bitvector()
+    sums = diffs = 0
+    for start, end in a._runs():
+        smeared = _smear(bits, end - start + 1)
+        sums |= smeared << (start - lo)
+        diffs |= smeared << (hi - end)
+    hull = (1 << (2 * (d - n) + 1)) - 1
+    return (sums & diffs) >> n & hull == hull
 
 
 def profile(a: IntegerSet) -> SetProfile:

@@ -30,7 +30,11 @@ package's only numpy module. Each driver imports it before any work
 starts, so importing this module (and running the oracle) needs neither
 numpy nor ``multiprocessing``. Scans of more than one task share one pool
 of min(workers, CPUs) processes, started on first use, replaced when that
-count changes or a scan fails, and kept until the interpreter exits.
+count changes, a scan fails or a worker has died, and kept until the
+interpreter exits. Each worker is served over its own pipe and takes one
+task at a time, the next going to whichever worker answers first; a
+worker that dies mid-task fails the scan with a ``RuntimeError`` naming
+its exit code instead of hanging it.
 """
 
 from __future__ import annotations
@@ -44,13 +48,10 @@ from fractions import Fraction
 from itertools import accumulate, chain
 from numbers import Integral
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InvalidParameterError, ResourceLimitError
 from .intset import IntegerSet, SetProfile, _integers, is_pn
-
-if TYPE_CHECKING:
-    from multiprocessing.pool import Pool
 
 # most sets per scan task: several kernel batches, so that a task's work
 # outweighs handing it to a worker
@@ -161,29 +162,102 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return (max(0.0, center - half), 1.0 if successes == trials else min(1.0, center + half))
 
 
-# (owning process id, worker count, pool). The owner is recorded so that a
-# forked child never submits work to a pool it inherited.
-_pool: Optional[tuple[int, int, Pool]] = None
+def _serve(conn) -> None:
+    """A worker's loop: run each (index, worker, task) it receives and send
+    back (index, ok, result or exception), until it receives None."""
+    for index, worker, task in iter(conn.recv, None):
+        try:
+            reply = (index, True, worker(task))
+        except Exception as exc:
+            reply = (index, False, exc)
+        conn.send(reply)
+
+
+class _Workers:
+    """``count`` daemon processes, each served over its own pipe."""
+
+    def __init__(self, count: int):
+        from multiprocessing import Pipe, Process
+
+        self.procs = []
+        self.conns = []
+        try:
+            for _ in range(count):
+                conn, child = Pipe()
+                proc = Process(target=_serve, args=(child,), daemon=True)
+                proc.start()
+                self.procs.append(proc)
+                self.conns.append(conn)
+                # the worker holds the only other end, so its exit reads as EOF here
+                child.close()
+        except BaseException:
+            self.close()
+            raise
+
+    def map(self, worker, tasks: Sequence) -> list:
+        """``[worker(t) for t in tasks]``: each worker takes one task, then
+        the next one as soon as it answers."""
+        from multiprocessing.connection import wait
+
+        results = [None] * len(tasks)
+        jobs = enumerate(tasks)
+        busy = []
+        for conn, (index, task) in zip(self.conns, jobs):
+            conn.send((index, worker, task))
+            busy.append(conn)
+        while busy:
+            for conn in wait(busy):
+                try:
+                    index, ok, result = conn.recv()
+                except EOFError:
+                    proc = self.procs[self.conns.index(conn)]
+                    proc.join()
+                    raise RuntimeError(
+                        f"a search worker exited with code {proc.exitcode}") from None
+                if not ok:
+                    raise result
+                results[index] = result
+                job = next(jobs, None)
+                if job is None:
+                    busy.remove(conn)
+                else:
+                    conn.send((job[0], worker, job[1]))
+        return results
+
+    def alive(self) -> bool:
+        return all(proc.is_alive() for proc in self.procs)
+
+    def close(self) -> None:
+        """Terminate and join every worker."""
+        for proc in self.procs:
+            proc.terminate()
+            proc.join()
+        for conn in self.conns:
+            conn.close()
+
+
+# (owning process id, worker count, workers). The owner is recorded so that
+# a forked child never submits work to workers it inherited.
+_pool: Optional[tuple[int, int, _Workers]] = None
 
 
 def _close_pool() -> None:
     global _pool
     if _pool is not None and _pool[0] == os.getpid():
-        _pool[2].terminate()
+        _pool[2].close()
     _pool = None
 
 
 atexit.register(_close_pool)
 
 
-def _shared_pool(workers: int) -> Pool:
-    """The process's pool of ``workers`` processes, replaced if the count changes."""
+def _shared_pool(workers: int) -> _Workers:
+    """The process's ``workers`` worker processes, replaced if the count
+    changes or one of them has died since the last scan."""
     global _pool
-    if _pool is None or _pool[:2] != (os.getpid(), workers):
-        from multiprocessing import Pool
-
+    if _pool is None or _pool[:2] != (os.getpid(), workers) or not _pool[2].alive():
         _close_pool()
-        _pool = (os.getpid(), workers, Pool(processes=workers))
+        _pool = (os.getpid(), workers, _Workers(workers))
     return _pool[2]
 
 
@@ -195,9 +269,9 @@ def _run_tasks(worker, tasks: Sequence, workers: int) -> list:
     if workers <= 1 or len(tasks) <= 1:
         return [worker(t) for t in tasks]
     try:
-        return _shared_pool(workers).map(worker, tasks, chunksize=1)
+        return _shared_pool(workers).map(worker, tasks)
     except BaseException:
-        # a failed or interrupted map can leave workers busy or dead
+        # a failed, interrupted or broken map can leave workers busy or dead
         _close_pool()
         raise
 

@@ -199,6 +199,24 @@ def test_is_pn(conway, fill2_seed):
     assert is_pn(L.union(R), np.int64(n))
 
 
+def test_is_pn_matches_its_two_hull_checks():
+    # the one-pass check against its definition, on every nonempty subset of
+    # [-3, 9], built from elements and from bits, and on sets past the
+    # bit-vector width, which take the sumset and difference set as before
+    window = range(-3, 10)
+    cases = [(a, _bits_only(a.elements)) for a in
+             (IntegerSet(x for i, x in enumerate(window) if mask >> i & 1)
+              for mask in range(1, 1 << len(window)))]
+    cases += [(IntegerSet([0, 1, 2, 2**27, 2**27 + 1]),), (IntegerSet([-(2**40), 0, 2**40]),)]
+    for same in cases:
+        sums, diffs = sumset(same[0]), diffset(same[0])
+        lo, hi = same[0].min, same[0].max
+        expected = [diffs.contains_interval(-(hi - lo) + n, hi - lo - n)
+                    and sums.contains_interval(2 * lo + n, 2 * hi - n) for n in range(15)]
+        for b in same:
+            assert [is_pn(b, n) for n in range(15)] == expected
+
+
 # ---------------------------------------------------------------------------
 # profiles
 # ---------------------------------------------------------------------------

@@ -140,10 +140,11 @@ def test_only_bug_checks_raise_assertion_error():
     assert found == _ASSERTING
 
 
-# The width cap bounds the run-smear sumset and difference set (and so the
-# intervals that feed them); set algebra chooses bit-vectors by density.
+# The width cap bounds the run-smear sumset, difference set and hull check
+# (and so the intervals that feed them); set algebra chooses bit-vectors by
+# density.
 _READS_WIDTH_CAP = {"intset.IntegerSet.interval", "intset.sumset", "intset.diffset",
-                    "intset._check_pair_budget"}
+                    "intset.is_pn", "intset._check_pair_budget"}
 
 
 def _functions(node, prefix: str):

@@ -1100,7 +1100,7 @@ def test_worker_count_clamps_and_rejects(monkeypatch):
 
     def serial_pool(workers):
         sizes.append(workers)
-        return SimpleNamespace(map=lambda worker, tasks, chunksize: list(map(worker, tasks)))
+        return SimpleNamespace(map=lambda worker, tasks: list(map(worker, tasks)))
 
     monkeypatch.setattr(search, "_shared_pool", serial_pool)
     for cpus, workers, tasks, size in ((4, 10**9, 100, 4), (4, 3, 100, 3), (4, 8, 2, 4),
@@ -1144,13 +1144,13 @@ def test_scans_of_different_task_counts_share_one_pool(monkeypatch):
 
     monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
     started = []
-    start_pool = multiprocessing.Pool
+    start_process = multiprocessing.Process
 
     def recording(*args, **kwargs):
-        started.append(kwargs)
-        return start_pool(*args, **kwargs)
+        started.append(kwargs["target"])
+        return start_process(*args, **kwargs)
 
-    monkeypatch.setattr(multiprocessing, "Pool", recording)
+    monkeypatch.setattr(multiprocessing, "Process", recording)
     search._close_pool()
     try:
         for _ in range(3):
@@ -1158,7 +1158,8 @@ def test_scans_of_different_task_counts_share_one_pool(monkeypatch):
             assert exhaustive_by_diameter(19, workers=4).total_examined == 1 << 19
             assert min_cardinality_scan(24, 7, workers=4).total_examined == 190_051
             assert sample_mstd_proportion(30, 10**5, 1, workers=4).total_examined == 10**5
-        assert started == [{"processes": 4}]
+        # one set of four workers, started once
+        assert started == [search._serve] * 4
     finally:
         search._close_pool()
 
@@ -1182,6 +1183,57 @@ def test_failed_pooled_map_replaces_the_pool(monkeypatch):
     assert search._pool[:2] == (os.getpid(), 2) and search._pool[2] is not pool
 
 
+def _sleep_then_stamp(seconds: float) -> tuple[float, float]:
+    time.sleep(seconds)
+    return seconds, time.monotonic()
+
+
+def test_pooled_results_come_back_in_task_order(monkeypatch):
+    # later tasks sleep less, so they finish first
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    tasks = [0.24, 0.12, 0.06, 0.03, 0.0, 0.0]
+    results = search._run_tasks(_sleep_then_stamp, tasks, 2)
+    assert [seconds for seconds, _ in results] == tasks
+    stamps = [stamp for _, stamp in results]
+    assert stamps != sorted(stamps)
+
+
+def test_dead_worker_raises_and_the_next_search_starts_fresh():
+    # a worker that exits mid-task fails the map at once; faulthandler ends a
+    # hung interpreter, so that a hang fails the test
+    script = ("import faulthandler, os; faulthandler.dump_traceback_later(30, exit=True)\n"
+              "os.cpu_count = lambda: 2\n"
+              "from mstd_chains import exhaustive_by_diameter, search\n"
+              "def task(x):\n"
+              "    if x == 3:\n"
+              "        os._exit(3)\n"
+              "    return x\n"
+              "try:\n"
+              "    search._run_tasks(task, [1, 2, 3, 4], 2)\n"
+              "except RuntimeError as exc:\n"
+              "    print(exc)\n"
+              "assert search._pool is None\n"
+              "pooled = exhaustive_by_diameter(18, workers=2)\n"
+              "assert search._pool is not None\n"
+              "print(pooled.to_json() == exhaustive_by_diameter(18).to_json())\n")
+    done = run_python("-c", script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "a search worker exited with code 3\nTrue\n"
+
+
+def test_worker_killed_between_scans_is_replaced(monkeypatch):
+    import signal
+
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    expected = exhaustive_by_diameter(18).to_json()
+    assert exhaustive_by_diameter(18, workers=2).to_json() == expected
+    workers = search._pool[2]
+    os.kill(workers.procs[1].pid, signal.SIGKILL)
+    workers.procs[1].join(10)
+    assert exhaustive_by_diameter(18, workers=2).to_json() == expected
+    assert search._pool[2] is not workers and search._pool[2].alive()
+
+
 def test_pooled_search_exits_cleanly_in_fresh_interpreter():
     import subprocess
     import sys
@@ -1191,7 +1243,9 @@ def test_pooled_search_exits_cleanly_in_fresh_interpreter():
               "from mstd_chains import exhaustive_by_diameter, sample_mstd_proportion\n"
               "a = exhaustive_by_diameter(18, workers=2)\n"
               "b = sample_mstd_proportion(20, 9000, seed=3, workers=2)\n"
-              "print(a.total_examined, b.total_examined)\n")
+              "import multiprocessing\n"
+              "print(a.total_examined, b.total_examined,\n"
+              "      *(p.pid for p in multiprocessing.active_children()))\n")
     src = str(Path(search.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
@@ -1199,7 +1253,13 @@ def test_pooled_search_exits_cleanly_in_fresh_interpreter():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0
     assert done.stderr == ""
-    assert done.stdout.split() == [str(2 ** 18), "9000"]
+    total, sampled, *pids = done.stdout.split()
+    assert (total, sampled) == (str(2 ** 18), "9000")
+    # both workers are gone once the interpreter has exited
+    assert len(pids) == 2
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(pid), 0)
 
 
 def test_numpy_is_loaded_before_the_pool_forks():
